@@ -21,10 +21,9 @@ from .nodes import (
     NodeSet,
     alternating_display,
     common_denominator_form,
-    diff_products,
     diff_products_via_derivative,
-    euler_sum,
-    expected_euler_sum,
+    euler_sums,
+    expected_euler_sums,
     nodeset_new,
 )
 from .partfrac import decompose, euler_sum_via_decomposition, reconstruct
@@ -40,7 +39,8 @@ from .symmetric import (
 # Enumeration cost cap for the brute-force homogeneous oracle.
 _BRUTE_FORCE_LIMIT = 100_000
 
-_TOKEN = re.compile(r"[+-]?\d+(/\d+)?\Z")
+# A denominator must be nonzero, so "1/0" is a bad token like any other.
+_TOKEN = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?\Z")
 
 
 class ParseError(ValueError):
@@ -117,7 +117,7 @@ def _run_weights(ns: NodeSet, n: int) -> dict:
         "verb": "weights",
         **_nodes_header(ns),
         "n": n,
-        "products": [fmt(A) for A in diff_products(ns)],
+        "products": [fmt(A) for A in ns.products],
         "rows": [
             {
                 "node": fmt(r.node),
@@ -152,13 +152,11 @@ def _print_weights(res: dict) -> None:
 
 
 def _run_table(ns: NodeSet, nmax: int) -> dict:
-    rows = []
-    for n in range(nmax + 1):
-        s = euler_sum(ns, n)
-        expected = expected_euler_sum(ns, n)
-        rows.append(
-            {"n": n, "sum": fmt(s), "expected": fmt(expected), "match": s == expected}
-        )
+    pairs = zip(euler_sums(ns, nmax), expected_euler_sums(ns, nmax))
+    rows = [
+        {"n": n, "sum": fmt(s), "expected": fmt(expected), "match": s == expected}
+        for n, (s, expected) in enumerate(pairs)
+    ]
     return {"verb": "table", **_nodes_header(ns), "nmax": nmax, "rows": rows}
 
 
@@ -207,7 +205,8 @@ def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     h_e = homogeneous_via_elementary(e, kmax)
     h_p = homogeneous_via_power_sums(p, kmax)
     h_bf = [_brute_force_or_none(ns, k) for k in range(kmax + 1)]
-    newton = newton_power_from_elementary(e, max(kmax, 1))
+    # From the full e-list: the printed one stops at e_kmax, which may be short of e_1.
+    newton = newton_power_from_elementary(ns.elementary, max(kmax, 1))
     triple = all(
         h_e[k] == h_p[k] and (h_bf[k] is None or h_bf[k] == h_e[k])
         for k in range(kmax + 1)
@@ -252,33 +251,32 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     def check(name: str, ok: bool) -> None:
         checks.append({"name": name, "ok": bool(ok)})
 
-    products = diff_products(ns)
+    products = list(ns.products)
     check("difference products match derivative route",
           products == diff_products_via_derivative(ns))
     check("sign parity (-1)^(m-1-i)",
           all((-1) ** (ns.m - 1 - i) * A > 0 for i, A in enumerate(products)))
-    check("sum is 0 for n <= m-2",
-          all(euler_sum(ns, n) == 0 for n in range(max(ns.m - 1, 0))))
+    sums = euler_sums(ns, max(nmax, ns.m - 2))
+    check("sum is 0 for n <= m-2", all(s == 0 for s in sums[: ns.m - 1]))
     check("sum matches closed form for n <= nmax",
-          all(euler_sum(ns, n) == expected_euler_sum(ns, n)
-              for n in range(nmax + 1)))
+          sums[: nmax + 1] == expected_euler_sums(ns, nmax))
     if ns.m >= 2:
         check("decomposition route reproduces the sum",
-              all(euler_sum_via_decomposition(ns, n) == euler_sum(ns, n)
+              all(euler_sum_via_decomposition(ns, n) == sums[n]
                   for n in range(nmax + 1)))
     check("decompositions reconstruct exactly",
           all(reconstruct(decompose(n, ns)) for n in range(nmax + 1)))
 
     kmax = min(nmax, 8)
-    e = elementary_all(ns, kmax)
     p = power_sums(ns, max(kmax, 1))
-    h_e = homogeneous_via_elementary(e, kmax)
+    h_e = homogeneous_via_elementary(ns.elementary, kmax)
     h_p = homogeneous_via_power_sums(p, kmax)
     check("homogeneous recurrences agree", h_e == h_p)
     check("homogeneous recurrences match brute force",
           all(_brute_force_or_none(ns, k) in (None, h_e[k])
               for k in range(kmax + 1)))
-    check("newton round trip", newton_power_from_elementary(e, max(kmax, 1)) == p)
+    check("newton round trip",
+          newton_power_from_elementary(ns.elementary, max(kmax, 1)) == p)
 
     return {
         "verb": "verify",
@@ -324,6 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exponent(value: int | None, ns: NodeSet) -> int:
+    """An exponent option's value, m + 4 when it is omitted; never negative."""
+    n = ns.m + 4 if value is None else value
+    if n < 0:
+        raise NegativeExponent(n)
+    return n
+
+
 def render_json(result: dict) -> str:
     return json.dumps(result, indent=2)
 
@@ -334,27 +340,17 @@ def run(argv) -> int:
     try:
         ns = parse_nodes(args.nodes)
         if args.verb == "weights":
-            if args.n < 0:
-                raise NegativeExponent(args.n)
-            result = _run_weights(ns, args.n)
+            result = _run_weights(ns, _exponent(args.n, ns))
         elif args.verb == "table":
-            nmax = args.nmax if args.nmax is not None else ns.m + 4
-            if nmax < 0:
-                raise NegativeExponent(nmax)
-            result = _run_table(ns, nmax)
+            result = _run_table(ns, _exponent(args.nmax, ns))
         elif args.verb == "decompose":
             result = _run_decompose(ns, args.n)
         elif args.verb == "symmetric":
-            kmax = args.kmax if args.kmax is not None else ns.m + 4
-            if kmax < 0:
-                raise NegativeExponent(kmax)
-            result = _run_symmetric(ns, kmax)
+            result = _run_symmetric(ns, _exponent(args.kmax, ns))
         else:
-            nmax = args.nmax if args.nmax is not None else ns.m + 4
-            if nmax < 0:
-                raise NegativeExponent(nmax)
-            result = _run_verify(ns, nmax)
-    except (ParseError, DuplicateNode, EmptyNodeSet, NegativeExponent, OSError) as exc:
+            result = _run_verify(ns, _exponent(args.nmax, ns))
+    except (ParseError, DuplicateNode, EmptyNodeSet, NegativeExponent, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Sequence
 
@@ -33,6 +34,10 @@ class DuplicateNode(ValueError):
 class NegativeExponent(ValueError):
     """Raised when a power-sum exponent is negative."""
 
+    def __init__(self, value):
+        super().__init__(f"exponent must be nonnegative, got {value}")
+        self.value = value
+
 
 class EmptyInput(ValueError):
     """Raised when an operation needs at least one fraction."""
@@ -40,13 +45,29 @@ class EmptyInput(ValueError):
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Strictly ascending tuple of distinct rationals."""
+    """Strictly ascending tuple of distinct rationals.
+
+    The difference products and the elementary values are computed on
+    first use and kept on the instance, so each is built once per node set.
+    The cached attributes are not fields: equality and hashing see only
+    `values`.
+    """
 
     values: tuple
 
     @property
     def m(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def products(self) -> tuple:
+        """The signed difference products A_i, as diff_products returns them."""
+        return tuple(diff_products(self))
+
+    @cached_property
+    def elementary(self) -> tuple:
+        """e[0..m], the elementary symmetric values of the nodes."""
+        return tuple(elementary_all(self, self.m))
 
 
 @dataclass(frozen=True)
@@ -95,27 +116,43 @@ def diff_products_via_derivative(ns: NodeSet) -> list[Fraction]:
 
 def _check_exponent(n: int) -> None:
     if n < 0:
-        raise NegativeExponent(f"exponent must be nonnegative, got {n}")
+        raise NegativeExponent(n)
+
+
+def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
+    """[S_0, ..., S_nmax] with S_n = sum a_i^n / A_i (and 0**0 = 1).
+
+    The terms start at the weights 1/A_i and are multiplied by a_i from one
+    power to the next: O(m^2 + nmax*m) Fraction operations in all.
+    """
+    _check_exponent(nmax)
+    terms = [1 / A for A in ns.products]
+    sums = [sum(terms, Fraction(0))]
+    for _ in range(nmax):
+        terms = [t * a for t, a in zip(terms, ns.values)]
+        sums.append(sum(terms, Fraction(0)))
+    return sums
 
 
 def euler_sum(ns: NodeSet, n: int) -> Fraction:
     """Exact value of sum a_i^n / A_i (with 0**0 = 1)."""
-    _check_exponent(n)
-    products = diff_products(ns)
-    return sum(
-        (a**n / A for a, A in zip(ns.values, products)), Fraction(0)
+    return euler_sums(ns, n)[n]
+
+
+def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
+    """Closed forms of euler_sums: 0 for n <= m-2, then h_0, h_1, ... from n = m-1."""
+    _check_exponent(nmax)
+    m = ns.m
+    if nmax <= m - 2:
+        return [Fraction(0)] * (nmax + 1)
+    return [Fraction(0)] * (m - 1) + homogeneous_via_elementary(
+        ns.elementary, nmax - m + 1
     )
 
 
 def expected_euler_sum(ns: NodeSet, n: int) -> Fraction:
     """Closed form of euler_sum: 0 for n <= m-2, else h_{n-m+1}."""
-    _check_exponent(n)
-    m = ns.m
-    if n <= m - 2:
-        return Fraction(0)
-    k = n - m + 1
-    h = homogeneous_via_elementary(elementary_all(ns, m), k)
-    return h[k]
+    return expected_euler_sums(ns, n)[n]
 
 
 def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:
@@ -141,10 +178,9 @@ def alternating_display(ns: NodeSet, n: int) -> FractionTable:
     signed product.
     """
     _check_exponent(n)
-    products = diff_products(ns)
     rows = []
     displayed = []
-    for i, (a, A) in enumerate(zip(ns.values, products)):
+    for i, (a, A) in enumerate(zip(ns.values, ns.products)):
         sign = 1 if i % 2 == 0 else -1
         numerator = a**n
         rows.append(

@@ -19,8 +19,8 @@ from .exactpoly import (
     poly_from_roots,
     poly_mul,
 )
-from .nodes import NegativeExponent, NodeSet, diff_products, nodeset_new
-from .symmetric import elementary_all, homogeneous_via_elementary
+from .nodes import NegativeExponent, NodeSet, nodeset_new
+from .symmetric import homogeneous_via_elementary
 
 
 class NodeSetTooSmall(ValueError):
@@ -42,14 +42,13 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
     polynomial part is empty for n < m and has degree n - m otherwise.
     """
     if n < 0:
-        raise NegativeExponent(f"exponent must be nonnegative, got {n}")
+        raise NegativeExponent(n)
     m = poles.m
-    products = diff_products(poles)
-    residues = [a**n / A for a, A in zip(poles.values, products)]
+    residues = [a**n / A for a, A in zip(poles.values, poles.products)]
     if n < m:
         part = []
     else:
-        h = homogeneous_via_elementary(elementary_all(poles, m), n - m)
+        h = homogeneous_via_elementary(poles.elementary, n - m)
         part = h[::-1]  # ascending: constant term h_{n-m}, leading h_0 = 1
     return PartialFractionDecomposition(n, poles, part, residues)
 
@@ -78,7 +77,7 @@ def euler_sum_via_decomposition(ns: NodeSet, n: int) -> Fraction:
     the full set, and the remaining term is the last node's own fraction.
     """
     if n < 0:
-        raise NegativeExponent(f"exponent must be nonnegative, got {n}")
+        raise NegativeExponent(n)
     if ns.m < 2:
         raise NodeSetTooSmall("need at least two nodes")
     x = ns.values[-1]

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diffprod import cli, nodeset_new
+from diffprod import cli, nodes, nodeset_new
 from diffprod.cli import ParseError, fmt, fmt_poly, parse_nodes
 
 
@@ -27,6 +27,12 @@ class TestParseNodes:
             parse_nodes("1 2 x 4")
         assert exc.value.token == "x"
         assert exc.value.position == 2
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError) as exc:
+            parse_nodes("1 1/0 2")
+        assert exc.value.token == "1/0"
+        assert exc.value.position == 1
 
     def test_at_file(self, tmp_path):
         f = tmp_path / "nodes.txt"
@@ -114,7 +120,44 @@ class TestVerbs:
         assert "banana" in capsys.readouterr().err
 
     def test_negative_nmax_exits_2(self, capsys):
-        assert cli.run(["table", "1 2", "--nmax", "-1"]) == 2
+        for argv in (["table", "1 2", "--nmax", "-1"], ["weights", "1 2", "--n", "-1"]):
+            assert cli.run(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: exponent must be nonnegative, got -1\n"
+            )
+
+    def test_zero_denominator_exits_2(self, capsys):
+        assert cli.run(["table", "1 1/0 2"]) == 2
+        assert "'1/0' at position 1" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "nodes.txt"
+        f.write_bytes(b"\xff\xfe1 2")
+        assert cli.run(["weights", f"@{f}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_newton_round_trip_at_depth_zero(self, capsys):
+        # e is printed only up to e_kmax; Newton's identities still need e_1.
+        code, res = run_json(capsys, ["verify", "1 2 3", "--nmax", "0"])
+        assert code == 0
+        assert res["all_identities_hold"] is True
+        assert cli.run(["symmetric", "5", "--kmax", "0"]) == 0
+        assert "newton round trip: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["table", "verify"])
+    def test_products_computed_once_per_node_set(self, verb, capsys, monkeypatch):
+        seen = []
+        original = nodes.diff_products
+
+        def counting(ns):
+            seen.append(ns)
+            return original(ns)
+
+        monkeypatch.setattr(nodes, "diff_products", counting)
+        assert cli.run([verb, "1/2 -3 7/3 4", "--nmax", "9"]) == 0
+        # verify also decomposes over a fresh set of the first m-1 nodes per n.
+        assert len({id(ns) for ns in seen}) == len(seen)
+        assert sum(ns.m == 4 for ns in seen) == 1
 
     def test_json_matches_text_values(self, capsys):
         code, res = run_json(capsys, ["table", "2 5 7 8", "--nmax", "8"])

@@ -1,4 +1,6 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,10 @@ from diffprod import (
     diff_products,
     diff_products_via_derivative,
     euler_sum,
+    euler_sums,
     expected_euler_sum,
+    expected_euler_sums,
+    homogeneous_brute_force,
     nodeset_new,
 )
 from .strategies import node_sets, rationals
@@ -38,6 +43,17 @@ class TestNodeSetNew:
     def test_rejects_empty(self):
         with pytest.raises(EmptyNodeSet):
             nodeset_new([])
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        filled, fresh = nodeset_new([2, 5, 7, 8]), nodeset_new([8, 7, 5, 2])
+        before = hash(filled)
+        assert filled.products == (-90, 18, -10, 18)
+        assert filled.elementary == (1, 22, 171, 542, 560)
+        assert filled == fresh and hash(filled) == hash(fresh) == before
+        assert {fresh: "x"}[filled] == "x"
+        assert repr(filled) == repr(fresh)
+        with pytest.raises(FrozenInstanceError):
+            filled.values = ()
 
 
 class TestDiffProducts:
@@ -114,6 +130,32 @@ class TestEulerSum:
     def test_singleton_degenerate(self, a, n):
         ns = nodeset_new([a])
         assert euler_sum(ns, n) == a**n == expected_euler_sum(ns, n)
+
+
+class TestEulerSums:
+    @given(node_sets, st.integers(min_value=0, max_value=10))
+    def test_matches_inline_sum(self, ns, nmax):
+        vals = ns.values
+        products = [
+            prod((a - b for b in vals if b != a), start=F(1)) for a in vals
+        ]
+        assert euler_sums(ns, nmax) == [
+            sum((a**n / A for a, A in zip(vals, products)), F(0))
+            for n in range(nmax + 1)
+        ]
+
+    @given(node_sets, st.integers(min_value=0, max_value=10))
+    def test_closed_forms_match_brute_force(self, ns, nmax):
+        assert expected_euler_sums(ns, nmax) == [
+            F(0) if n <= ns.m - 2 else homogeneous_brute_force(ns, n - ns.m + 1)
+            for n in range(nmax + 1)
+        ]
+
+    def test_negative_exponent(self):
+        with pytest.raises(NegativeExponent, match="got -1"):
+            euler_sums(FOUR, -1)
+        with pytest.raises(NegativeExponent, match="got -1"):
+            expected_euler_sums(FOUR, -1)
 
 
 class TestExpectedEulerSum:
