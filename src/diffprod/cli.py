@@ -2,7 +2,8 @@
 
 All rational output is exact; JSON mode encodes every rational as a string
 "p" or "p/q", never as floating point.  Exit codes: 0 success, 1 a
-verification failed, 2 usage or parse errors.
+verification failed, 2 usage or parse errors, or an input past one of the
+limits below.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ from .symmetric import (
 # Enumeration cost cap for the brute-force homogeneous oracle.
 _BRUTE_FORCE_LIMIT = 100_000
 
+# Input limits, so that no input runs unbounded: the largest --n, --nmax or
+# --kmax, the most nodes in a set, and the largest @file in bytes.
+MAX_EXPONENT = 1000
+MAX_NODES = 1000
+MAX_FILE_BYTES = 1 << 20
+
 # A denominator must be nonzero, so "1/0" is a bad token like any other.
 _TOKEN = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?\Z")
 
@@ -50,20 +57,40 @@ class ParseError(ValueError):
         self.token = token
 
 
+class LimitExceeded(ValueError):
+    """Raised when an input is past one of the module's input limits."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"{what} exceeds limit {limit}")
+
+
 def parse_nodes(text: str) -> NodeSet:
     """Parse comma/whitespace separated integers and fractions "p/q".
 
-    A leading "@" makes the rest a file name holding the same grammar.
+    A leading "@" makes the rest a file name holding the same grammar, in
+    UTF-8.  At most MAX_FILE_BYTES + 1 bytes of it are read, so a larger
+    file (or an endless one) is refused without being read whole.
     """
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "rb") as fh:
+                data = fh.read(MAX_FILE_BYTES + 1)
+        except ValueError:  # a NUL byte in the file name
+            raise ParseError(0, text) from None
+        if len(data) > MAX_FILE_BYTES:
+            raise LimitExceeded("@file size in bytes", MAX_FILE_BYTES)
+        text = data.decode("utf-8")
     tokens = [t for t in re.split(r"[\s,]+", text) if t]
+    if len(tokens) > MAX_NODES:
+        raise LimitExceeded(f"node count {len(tokens)}", MAX_NODES)
     values = []
     for pos, tok in enumerate(tokens):
         if not _TOKEN.match(tok):
             raise ParseError(pos, tok)
-        values.append(Fraction(tok))
+        try:
+            values.append(Fraction(tok))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(pos, tok) from None
     return nodeset_new(values)
 
 
@@ -323,10 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exponent(value: int | None, ns: NodeSet) -> int:
-    """An exponent option's value, m + 4 when it is omitted; never negative."""
+    """An exponent option's value, m + 4 when it is omitted; never negative
+    and never past MAX_EXPONENT."""
     n = ns.m + 4 if value is None else value
     if n < 0:
         raise NegativeExponent(n)
+    if n > MAX_EXPONENT:
+        raise LimitExceeded(f"exponent {n}", MAX_EXPONENT)
     return n
 
 
@@ -344,13 +374,13 @@ def run(argv) -> int:
         elif args.verb == "table":
             result = _run_table(ns, _exponent(args.nmax, ns))
         elif args.verb == "decompose":
-            result = _run_decompose(ns, args.n)
+            result = _run_decompose(ns, _exponent(args.n, ns))
         elif args.verb == "symmetric":
             result = _run_symmetric(ns, _exponent(args.kmax, ns))
         else:
             result = _run_verify(ns, _exponent(args.nmax, ns))
-    except (ParseError, DuplicateNode, EmptyNodeSet, NegativeExponent, OSError,
-            UnicodeDecodeError) as exc:
+    except (ParseError, LimitExceeded, DuplicateNode, EmptyNodeSet,
+            NegativeExponent, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

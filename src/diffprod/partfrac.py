@@ -57,13 +57,15 @@ def reconstruct(pfd: PartialFractionDecomposition) -> bool:
     """Check x^n == part * prod(x - a_i) + sum residues[i] * prod_{j != i}(x - a_j).
 
     Pure polynomial arithmetic; a False return means the decomposition is
-    internally inconsistent.
+    internally inconsistent, or that some pole does not divide the node
+    polynomial exactly.
     """
     w = poly_from_roots(pfd.poles.values)
     rhs = poly_mul(pfd.polynomial_part, w)
     for a, r in zip(pfd.poles.values, pfd.residues):
         cofactor, rem = poly_divide_linear(w, a)
-        assert rem == 0
+        if rem != 0:
+            return False
         rhs = poly_add(rhs, poly_mul([r], cofactor))
     lhs = [Fraction(0)] * pfd.power + [Fraction(1)]
     return rhs == lhs

@@ -6,14 +6,16 @@ of all degree-k monomials with repetition.  Power-sum lists hold
 [p_1, ..., p_kmax] (there is no useful p_0 here).
 
 Two independent recurrences compute h, and a direct multiset enumeration
-serves as an oracle against both.
+serves as an oracle against both.  The oracle enumerates on integers: it
+scales the nodes by L, the lcm of their denominators, sums the products
+of the integers a_i*L over every multiset, and divides by L^k once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
 from .exactpoly import poly_from_roots
@@ -76,13 +78,17 @@ def homogeneous_via_power_sums(p: Sequence, kmax: int) -> list[Fraction]:
 def homogeneous_brute_force(ns: "NodeSet", k: int) -> Fraction:
     """Sum of all degree-k monomials, enumerated multiset by multiset.
 
-    Cost C(m+k-1, k); intended as an oracle for small m and k, and kept
-    deliberately independent of both recurrences.
+    Each node a_i becomes the integer b_i = a_i*L, L the lcm of the node
+    denominators; the sum of the C(m+k-1, k) integer products over all
+    multisets of the b_i is divided by L^k once, so the result is the same
+    value with one normalisation.  Intended as an oracle for small m and k,
+    and kept deliberately independent of both recurrences.
     """
-    return sum(
-        (prod(combo, start=Fraction(1))
-         for combo in combinations_with_replacement(ns.values, k)),
-        Fraction(0),
+    scale = lcm(*(a.denominator for a in ns.values))
+    scaled = [a.numerator * (scale // a.denominator) for a in ns.values]
+    return Fraction(
+        sum(prod(combo) for combo in combinations_with_replacement(scaled, k)),
+        scale**k,
     )
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffprod import cli, nodes, nodeset_new
 from diffprod.cli import ParseError, fmt, fmt_poly, parse_nodes
@@ -27,6 +31,16 @@ class TestParseNodes:
             parse_nodes("1 2 x 4")
         assert exc.value.token == "x"
         assert exc.value.position == 2
+
+    def test_more_digits_than_int_converts(self):
+        with pytest.raises(ParseError) as exc:
+            parse_nodes("1 " + "7" * 5000)
+        assert exc.value.position == 1
+
+    def test_nul_in_file_name(self):
+        with pytest.raises(ParseError) as exc:
+            parse_nodes("@nodes\x00.txt")
+        assert exc.value.position == 0
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError) as exc:
@@ -136,6 +150,44 @@ class TestVerbs:
         assert cli.run(["weights", f"@{f}"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["weights", "1 2", "--n", "1001"],
+        ["table", "1 2", "--nmax", "1001"],
+        ["decompose", "1 2", "--n", "1001"],
+        ["symmetric", "1 2", "--kmax", "1001"],
+        ["verify", "1 2", "--nmax", "1001"],
+    ])
+    def test_exponent_past_limit_exits_2(self, argv, capsys):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == "error: exponent 1001 exceeds limit 1000\n"
+
+    def test_exponent_at_limit_runs(self, capsys):
+        assert cli.run(["decompose", "1 2", "--n", str(cli.MAX_EXPONENT)]) == 0
+        assert "reconstruction check: ok" in capsys.readouterr().out
+
+    def test_default_exponent_past_limit_exits_2(self, capsys):
+        # m + 4 > MAX_EXPONENT once m > MAX_EXPONENT - 4
+        nodes_text = " ".join(map(str, range(cli.MAX_EXPONENT - 3)))
+        assert cli.run(["table", nodes_text]) == 2
+        assert capsys.readouterr().err == "error: exponent 1001 exceeds limit 1000\n"
+
+    def test_node_count_past_limit_exits_2(self, capsys):
+        assert cli.run(["weights", " ".join(map(str, range(1001)))]) == 2
+        assert capsys.readouterr().err == "error: node count 1001 exceeds limit 1000\n"
+
+    def test_file_past_limit_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "nodes.txt"
+        f.write_bytes(b"1 2" + b" " * (cli.MAX_FILE_BYTES - 2))
+        assert cli.run(["weights", f"@{f}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: @file size in bytes exceeds limit 1048576\n"
+        )
+
+    def test_file_at_limit_runs(self, tmp_path, capsys):
+        f = tmp_path / "nodes.txt"
+        f.write_bytes(b"1 2" + b" " * (cli.MAX_FILE_BYTES - 3))
+        assert cli.run(["weights", f"@{f}"]) == 0
+
     def test_newton_round_trip_at_depth_zero(self, capsys):
         # e is printed only up to e_kmax; Newton's identities still need e_1.
         code, res = run_json(capsys, ["verify", "1 2 3", "--nmax", "0"])
@@ -172,3 +224,62 @@ class TestVerbs:
         assert cli.run(["weights", "2 5 7 8"]) == 0
         out = capsys.readouterr().out
         assert "-90" in out and "18" in out
+
+
+# --- the CLI contract over arbitrary input -------------------------------
+
+EXPONENT_OPTION = {"weights": "--n", "table": "--nmax", "decompose": "--n",
+                   "symmetric": "--kmax", "verify": "--nmax"}
+VERBS = list(EXPONENT_OPTION)
+OPTIONS = ["--n", "--nmax", "--kmax", "--format", "json", "text", "--help"]
+JUNK = ["", "-", "--", "@", "@/", "@\x00", "@no such file", "x", "1/0", "0/5",
+        "-3/4", "1e3", "1.5", "2 2", "\u0663", "\x00", "7" * 5000, "1001",
+        "1000000", "-1"]
+node_token = st.builds(
+    lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+    st.integers(-9, 9), st.integers(1, 9),
+)
+node_text = st.lists(node_token, min_size=1, max_size=4).map(" ".join)
+nodes_arg = st.one_of(node_text, st.just("@FILE"), st.sampled_from(JUNK))
+option_token = st.one_of(
+    st.sampled_from(OPTIONS + JUNK), st.integers(-3, 12).map(str), st.text(max_size=6),
+)
+any_token = st.one_of(st.sampled_from(VERBS), nodes_arg, option_token)
+well_formed = st.builds(
+    lambda verb, text, n, fmt: [verb, text, EXPONENT_OPTION[verb], str(n), "--format", fmt],
+    st.sampled_from(VERBS), nodes_arg, st.integers(-2, 12), st.sampled_from(["json", "text"]),
+)
+
+
+def _failed_check_named(out: str) -> bool:
+    """True iff a verify output, text or JSON, names a check that failed."""
+    try:
+        return any(not c["ok"] for c in json.loads(out)["checks"])
+    except (ValueError, KeyError, TypeError):
+        return any(line.startswith("FAIL") for line in out.splitlines())
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.one_of(
+        st.lists(any_token, max_size=6),
+        st.tuples(st.sampled_from(VERBS), nodes_arg, st.lists(option_token, max_size=4))
+        .map(lambda t: [t[0], t[1], *t[2]]),
+        well_formed,
+    ),
+    file_bytes=st.one_of(st.binary(max_size=16), node_text.map(str.encode)),
+)
+def test_cli_contract_holds_for_any_input(tmp_path, argv, file_bytes):
+    path = tmp_path / "nodes.bin"
+    path.write_bytes(file_bytes)
+    argv = [f"@{path}" if a == "@FILE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert _failed_check_named(out.getvalue())

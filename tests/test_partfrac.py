@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,7 @@ from diffprod import (
     nodeset_new,
     reconstruct,
 )
+from diffprod import partfrac
 from .strategies import multi_node_sets, node_sets
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -87,6 +90,21 @@ class TestReconstruct:
     @given(node_sets, st.integers(min_value=0, max_value=13))
     def test_always_reconstructs(self, ns, n):
         assert reconstruct(decompose(n, ns))
+
+    def test_nonzero_remainder_is_false(self, monkeypatch):
+        divide = partfrac.poly_divide_linear
+        monkeypatch.setattr(partfrac, "poly_divide_linear",
+                            lambda coeffs, a: (divide(coeffs, a)[0], F(1)))
+        assert reconstruct(decompose(5, SIX)) is False
+
+    def test_holds_without_asserts(self):
+        # -O strips assert statements; the check must not depend on one.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "diffprod", "decompose", "1 2 3", "--n", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "reconstruction check: ok" in proc.stdout.splitlines()
 
 
 class TestEulerSumViaDecomposition:

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from diffprod import (
     nodeset_new,
     power_sums,
 )
-from .strategies import node_sets
+from .strategies import node_sets, rationals
 
 ONE_TWO_THREE = nodeset_new([1, 2, 3])
 
@@ -121,7 +123,25 @@ class TestBruteForce:
             assert homogeneous_brute_force(ns, k) == c**k
 
     def test_k_zero(self):
-        assert homogeneous_brute_force(ONE_TWO_THREE, 0) == 1
+        h0 = homogeneous_brute_force(nodeset_new([F(1, 2), F(-5, 3)]), 0)
+        assert type(h0) is F and h0 == F(1)
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError):
+            homogeneous_brute_force(ONE_TWO_THREE, -1)
+
+    @given(st.lists(rationals, min_size=1, max_size=6, unique=True), st.booleans(),
+           st.integers(min_value=0, max_value=6))
+    def test_matches_fraction_enumeration(self, values, with_zero, k):
+        ns = nodeset_new(set(values) | {F(0)} if with_zero else values)
+        expected = F(0)
+        for combo in combinations_with_replacement(ns.values, k):
+            term = F(1)
+            for a in combo:
+                term *= a
+            expected += term
+        h = homogeneous_brute_force(ns, k)
+        assert type(h) is F and h == expected
 
 
 class TestNewton:
