@@ -21,7 +21,6 @@ from .nodes import (
     NegativeExponent,
     NodeSet,
     alternating_display,
-    common_denominator_form,
     diff_products_via_derivative,
     euler_sums,
     expected_euler_sums,
@@ -47,7 +46,7 @@ MAX_NODES = 1000
 MAX_FILE_BYTES = 1 << 20
 
 # A denominator must be nonzero, so "1/0" is a bad token like any other.
-_TOKEN = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?\Z")
+_TOKEN = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?\Z")
 
 
 class ParseError(ValueError):
@@ -132,14 +131,14 @@ def _nodes_header(ns: NodeSet) -> dict:
 
 def _run_weights(ns: NodeSet, n: int) -> dict:
     table = alternating_display(ns, n)
-    # Shared factor of the magnitudes; scaling by it reproduces the reduced
-    # common-denominator line (e.g. 3150 instead of 113400 for the 6-node set).
+    # For n = 0 on integer magnitudes the line is reduced by g, the gcd of the
+    # magnitudes: lcm(|A_i|/g) = lcm(|A_i|)/g, and the numerators lcm/|A_i| are
+    # the same either way.  This gives the paper's 3150 line for the 6-node set
+    # instead of 113400.
     scale = 1
     if n == 0 and all(r.magnitude.denominator == 1 for r in table.rows):
         scale = gcd(*(r.magnitude.numerator for r in table.rows))
-    nums, den = common_denominator_form(
-        [r.sign * r.numerator * scale / r.magnitude for r in table.rows]
-    )
+    nums, den = table.common_numerators, table.common_denominator // scale
     return {
         "verb": "weights",
         **_nodes_header(ns),
@@ -171,11 +170,10 @@ def _print_weights(res: dict) -> None:
         print(
             f"{row['node']:>6}  {row['signed_denominator']:>10}  {sign}{fmt(term)}"
         )
-    nums = " ".join(
-        v if i == 0 and not v.startswith("-") else (f"+ {v.lstrip('+')}" if not v.startswith("-") else f"- {v[1:]}")
-        for i, v in enumerate(res["common_numerators"])
+    terms = " ".join(
+        f"- {v[1:]}" if v.startswith("-") else f"+ {v}" for v in res["common_numerators"]
     )
-    print(f"({nums})/{res['common_denominator']} = {res['sum']}")
+    print(f"({terms.removeprefix('+ ')})/{res['common_denominator']} = {res['sum']}")
 
 
 def _run_table(ns: NodeSet, nmax: int) -> dict:
@@ -226,24 +224,32 @@ def _brute_force_or_none(ns: NodeSet, k: int):
     return homogeneous_brute_force(ns, k)
 
 
-def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
-    e = elementary_all(ns, kmax)
+def _homogeneous_checks(ns: NodeSet, kmax: int):
+    """The independent routes to h_0..h_kmax and Newton's round trip.
+
+    Returns p_1..p_max(kmax,1), h by the e-recurrence, h by the power-sum
+    recurrence, h by brute force (None where it was skipped), and whether
+    Newton's identities give back the direct power sums.
+    """
+    # Both e-routes read the full e-list: the one `symmetric` prints stops at
+    # e_kmax, which may be short of e_1.
     p = power_sums(ns, max(kmax, 1))
-    h_e = homogeneous_via_elementary(e, kmax)
+    h_e = homogeneous_via_elementary(ns.elementary, kmax)
     h_p = homogeneous_via_power_sums(p, kmax)
     h_bf = [_brute_force_or_none(ns, k) for k in range(kmax + 1)]
-    # From the full e-list: the printed one stops at e_kmax, which may be short of e_1.
     newton = newton_power_from_elementary(ns.elementary, max(kmax, 1))
-    triple = all(
-        h_e[k] == h_p[k] and (h_bf[k] is None or h_bf[k] == h_e[k])
-        for k in range(kmax + 1)
-    )
+    return p, h_e, h_p, h_bf, newton == p
+
+
+def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
+    p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
+    triple = all(a == b and bf in (None, a) for a, b, bf in zip(h_e, h_p, h_bf))
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
-            "e": [fmt(v) for v in e],
+            "e": [fmt(v) for v in elementary_all(ns, kmax)],
             "p": [fmt(v) for v in p],
             "h_via_elementary": [fmt(v) for v in h_e],
             "h_via_power_sums": [fmt(v) for v in h_p],
@@ -251,7 +257,7 @@ def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
         },
         "agreement": {
             "h_triple": triple,
-            "newton_round_trip": newton == p,
+            "newton_round_trip": newton_ok,
         },
     }
 
@@ -294,16 +300,11 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     check("decompositions reconstruct exactly",
           all(reconstruct(decompose(n, ns)) for n in range(nmax + 1)))
 
-    kmax = min(nmax, 8)
-    p = power_sums(ns, max(kmax, 1))
-    h_e = homogeneous_via_elementary(ns.elementary, kmax)
-    h_p = homogeneous_via_power_sums(p, kmax)
+    _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
     check("homogeneous recurrences agree", h_e == h_p)
     check("homogeneous recurrences match brute force",
-          all(_brute_force_or_none(ns, k) in (None, h_e[k])
-              for k in range(kmax + 1)))
-    check("newton round trip",
-          newton_power_from_elementary(ns.elementary, max(kmax, 1)) == p)
+          all(bf in (None, h) for bf, h in zip(h_bf, h_e)))
+    check("newton round trip", newton_ok)
 
     return {
         "verb": "verify",
@@ -330,22 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, help_text):
+    def add(verb, help_text, runner, printer, option, option_help, **option_kw):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("nodes", help="node list, e.g. \"3 8 12 15 17 18\" or @file")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        return sp
+        sp.add_argument(option, type=int, dest="exponent", metavar=option[2:].upper(),
+                        help=option_help, **option_kw)
+        sp.set_defaults(runner=runner, printer=printer)
 
-    sp = add("weights", "difference products and the alternating-sign display")
-    sp.add_argument("--n", type=int, default=0, help="power in the numerators")
-    sp = add("table", "tabulate the sums against their closed forms")
-    sp.add_argument("--nmax", type=int, default=None, help="largest power (default m+4)")
-    sp = add("decompose", "partial fraction decomposition of x^n over the nodes")
-    sp.add_argument("--n", type=int, required=True, help="numerator power")
-    sp = add("symmetric", "elementary, power-sum, and homogeneous tables")
-    sp.add_argument("--kmax", type=int, default=None, help="table depth (default m+4)")
-    sp = add("verify", "run every identity check; exit 0 iff all hold")
-    sp.add_argument("--nmax", type=int, default=None, help="largest power (default m+4)")
+    add("weights", "difference products and the alternating-sign display",
+        _run_weights, _print_weights, "--n", "power in the numerators", default=0)
+    add("table", "tabulate the sums against their closed forms",
+        _run_table, _print_table, "--nmax", "largest power (default m+4)")
+    add("decompose", "partial fraction decomposition of x^n over the nodes",
+        _run_decompose, _print_decompose, "--n", "numerator power", required=True)
+    add("symmetric", "elementary, power-sum, and homogeneous tables",
+        _run_symmetric, _print_symmetric, "--kmax", "table depth (default m+4)")
+    add("verify", "run every identity check; exit 0 iff all hold",
+        _run_verify, _print_verify, "--nmax", "largest power (default m+4)")
     return parser
 
 
@@ -365,20 +368,10 @@ def render_json(result: dict) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         ns = parse_nodes(args.nodes)
-        if args.verb == "weights":
-            result = _run_weights(ns, _exponent(args.n, ns))
-        elif args.verb == "table":
-            result = _run_table(ns, _exponent(args.nmax, ns))
-        elif args.verb == "decompose":
-            result = _run_decompose(ns, _exponent(args.n, ns))
-        elif args.verb == "symmetric":
-            result = _run_symmetric(ns, _exponent(args.kmax, ns))
-        else:
-            result = _run_verify(ns, _exponent(args.nmax, ns))
+        result = args.runner(ns, _exponent(args.exponent, ns))
     except (ParseError, LimitExceeded, DuplicateNode, EmptyNodeSet,
             NegativeExponent, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -387,18 +380,8 @@ def run(argv) -> int:
     if args.format == "json":
         print(render_json(result))
     else:
-        printer = {
-            "weights": _print_weights,
-            "table": _print_table,
-            "decompose": _print_decompose,
-            "symmetric": _print_symmetric,
-            "verify": _print_verify,
-        }[args.verb]
-        printer(result)
-
-    if args.verb == "verify" and not result["all_identities_hold"]:
-        return 1
-    return 0
+        args.printer(result)
+    return 0 if result.get("all_identities_hold", True) else 1
 
 
 def main() -> None:

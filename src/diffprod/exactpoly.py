@@ -11,11 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Polynomial = list  # list[Fraction], ascending degree, normalized
-
-#: Degree of the zero polynomial.
-MINUS_INFINITY = float("-inf")
 
 
 def normalize(coeffs: Iterable) -> Polynomial:
@@ -24,11 +20,6 @@ def normalize(coeffs: Iterable) -> Polynomial:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def degree(p: Polynomial):
-    """Degree of p, or MINUS_INFINITY for the zero polynomial."""
-    return len(p) - 1 if p else MINUS_INFINITY
 
 
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -42,6 +42,12 @@ class TestParseNodes:
             parse_nodes("@nodes\x00.txt")
         assert exc.value.position == 0
 
+    def test_non_ascii_digits(self):
+        # Arabic-Indic three and a fullwidth one are decimal digits to \d, not to the grammar.
+        with pytest.raises(ParseError) as exc:
+            parse_nodes("\u0663 \uff11")
+        assert exc.value.position == 0
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError) as exc:
             parse_nodes("1 1/0 2")
@@ -139,6 +145,15 @@ class TestVerbs:
             assert capsys.readouterr().err == (
                 "error: exponent must be nonnegative, got -1\n"
             )
+
+    def test_non_ascii_digits_exit_2(self, capsys):
+        assert cli.run(["weights", "\u0663 \uff11"]) == 2
+        assert "at position 0" in capsys.readouterr().err
+
+    def test_leading_minus_after_separator(self, capsys):
+        # Without "--", argparse reads "-1/2,3" as an option.
+        assert cli.run(["weights", "--", "-1/2,3"]) == 0
+        assert "(2 - 2)/7 = 0" in capsys.readouterr().out
 
     def test_zero_denominator_exits_2(self, capsys):
         assert cli.run(["table", "1 1/0 2"]) == 2
