@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -165,8 +166,8 @@ def _print_weights(res: dict) -> None:
     print(f"nodes (m={res['m']}): {' '.join(res['nodes'])}")
     print("node  signed A  display term")
     for row in res["rows"]:
-        sign = "+" if row["sign"] > 0 else "-"
-        term = Fraction(row["numerator"]) / Fraction(row["magnitude"])
+        term = row["sign"] * Fraction(row["numerator"]) / Fraction(row["magnitude"])
+        sign = "" if term < 0 else "+"
         print(
             f"{row['node']:>6}  {row['signed_denominator']:>10}  {sign}{fmt(term)}"
         )
@@ -377,11 +378,19 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        args.printer(result)
-    return 0 if result.get("all_identities_hold", True) else 1
+    code = 0 if result.get("all_identities_hold", True) else 1
+    try:
+        if args.format == "json":
+            print(render_json(result))
+        else:
+            args.printer(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so the
+        # flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return code
 
 
 def main() -> None:

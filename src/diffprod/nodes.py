@@ -47,10 +47,10 @@ class EmptyInput(ValueError):
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
 
-    The difference products and the elementary values are computed on
-    first use and kept on the instance, so each is built once per node set.
-    The cached attributes are not fields: equality and hashing see only
-    `values`.
+    The integer form, the difference products and the elementary values
+    are computed on first use and kept on the instance, so each is built
+    once per node set.  The cached attributes are not fields: equality and
+    hashing see only `values`.
     """
 
     values: tuple
@@ -58,6 +58,12 @@ class NodeSet:
     @property
     def m(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(L, b): L the lcm of the node denominators, b_i = a_i*L integers."""
+        L = lcm(*(a.denominator for a in self.values))
+        return L, tuple(a.numerator * (L // a.denominator) for a in self.values)
 
     @cached_property
     def products(self) -> tuple:
@@ -100,11 +106,16 @@ def nodeset_new(values: Sequence) -> NodeSet:
 
 
 def diff_products(ns: NodeSet) -> list[Fraction]:
-    """Signed products A_i = prod_{j != i}(a_i - a_j); [1] for a singleton."""
-    vals = ns.values
+    """Signed products A_i = prod_{j != i}(a_i - a_j); [1] for a singleton.
+
+    Each is an integer product of the scaled nodes, prod_{j != i}(b_i - b_j),
+    divided by L^(m-1) once.
+    """
+    L, b = ns.scaled
+    scale = L ** (ns.m - 1)
     return [
-        prod((a - b for j, b in enumerate(vals) if j != i), start=Fraction(1))
-        for i, a in enumerate(vals)
+        Fraction(prod(bi - bj for j, bj in enumerate(b) if j != i), scale)
+        for i, bi in enumerate(b)
     ]
 
 
@@ -122,15 +133,19 @@ def _check_exponent(n: int) -> None:
 def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     """[S_0, ..., S_nmax] with S_n = sum a_i^n / A_i (and 0**0 = 1).
 
-    The terms start at the weights 1/A_i and are multiplied by a_i from one
-    power to the next: O(m^2 + nmax*m) Fraction operations in all.
+    The weights 1/A_i are put over one denominator D as integers N_i; since
+    a_i^n = b_i^n / L^n, S_n = sum N_i b_i^n / (D L^n).  The integer terms
+    are multiplied by b_i from one power to the next, and each S_n is
+    normalised once: O(m^2 + nmax*m) integer operations in all.
     """
     _check_exponent(nmax)
-    terms = [1 / A for A in ns.products]
-    sums = [sum(terms, Fraction(0))]
+    L, b = ns.scaled
+    terms, den = common_denominator_form([1 / A for A in ns.products])
+    sums = [Fraction(sum(terms), den)]
     for _ in range(nmax):
-        terms = [t * a for t, a in zip(terms, ns.values)]
-        sums.append(sum(terms, Fraction(0)))
+        terms = [t * bi for t, bi in zip(terms, b)]
+        den *= L
+        sums.append(Fraction(sum(terms), den))
     return sums
 
 

@@ -5,10 +5,12 @@ e[k] is the sum of all k-fold products of distinct nodes and h[k] the sum
 of all degree-k monomials with repetition.  Power-sum lists hold
 [p_1, ..., p_kmax] (there is no useful p_0 here).
 
-Two independent recurrences compute h, and a direct multiset enumeration
-serves as an oracle against both.  The oracle enumerates on integers: it
-scales the nodes by L, the lcm of their denominators, sums the products
-of the integers a_i*L over every multiset, and divides by L^k once.
+The e-list is read off the integer form ns.scaled of the node set.  Two
+independent recurrences compute h, and a direct multiset enumeration
+serves as an oracle against both.  The oracle enumerates on integers too,
+but scales the nodes itself: with L the lcm of their denominators, it sums
+the products of the integers a_i*L over every multiset and divides by L^k
+once.
 """
 
 from __future__ import annotations
@@ -18,26 +20,23 @@ from itertools import combinations_with_replacement
 from math import lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
-from .exactpoly import poly_from_roots
-
 if TYPE_CHECKING:
     from .nodes import NodeSet
 
 
 def elementary_all(ns: "NodeSet", kmax: int) -> list[Fraction]:
-    """e[0..kmax] read off the coefficients of prod(z - a_i).
+    """e[0..kmax] read off the integer coefficients of prod(z + b_i).
 
-    The coefficient of z^(m-k) is (-1)^k e_k; e_k = 0 for k > m.
+    With (L, b) = ns.scaled, E[k] = e_k(b) = L^k e_k, built one root at a
+    time as E[k] += b_i E[k-1]; e_k = 0 for k > m.
     """
-    coeffs = poly_from_roots(ns.values)
-    m = len(ns.values)
-    e = []
-    for k in range(kmax + 1):
-        if k <= m:
-            e.append((-1) ** k * coeffs[m - k])
-        else:
-            e.append(Fraction(0))
-    return e
+    L, b = ns.scaled
+    E = [1] + [0] * len(b)
+    for i, bi in enumerate(b, start=1):
+        for k in range(i, 0, -1):
+            E[k] += bi * E[k - 1]
+    return [Fraction(E[k], L**k) if k < len(E) else Fraction(0)
+            for k in range(kmax + 1)]
 
 
 def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:

@@ -27,3 +27,14 @@ def random_node_sets(count, seed):
             vals.add(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
         sets.append(nodeset_new(sorted(vals)))
     return sets
+
+
+# Explicit node lists for the integer-scaled kernels: m = 1, a node at 0,
+# negative nodes only, and denominators of different primes.
+EDGE_SETS = {
+    "singleton": [Fraction(-7, 2)],
+    "node at zero": [0, Fraction(1, 3), -2],
+    "negative nodes": [-9, -4, Fraction(-1, 5)],
+    "mixed denominators": [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 4,
+                           Fraction(-11, 7)],
+}

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +104,12 @@ class TestVerbs:
         assert res["common_numerators"] == ["1", "-9", "35", "-75", "90", "-42"]
         assert res["common_denominator"] == "3150"
         assert res["sum"] == "0"
+
+    def test_weights_terms_carry_one_sign(self, capsys):
+        # The display sign times a negative power is printed with one sign.
+        assert cli.run(["weights", "--n", "1", "--", "-3 -1 2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:5]
+        assert [row.split()[-1] for row in rows] == ["-3/10", "+1/6", "+2/15"]
 
     def test_table_row(self, capsys):
         code, res = run_json(capsys, ["table", "3 8 12 15 17 18", "--nmax", "6"])
@@ -226,6 +234,20 @@ class TestVerbs:
         assert len({id(ns) for ns in seen}) == len(seen)
         assert sum(ns.m == 4 for ns in seen) == 1
 
+    def test_closed_pipe_is_not_a_traceback(self):
+        # Over a megabyte of JSON, so the writer is still blocked on the full
+        # pipe when the reader goes away after the first line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diffprod", "table", "--format", "json",
+             "3 8 12 15 17 18", "--nmax", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert b"Traceback" not in err
+
     def test_json_matches_text_values(self, capsys):
         code, res = run_json(capsys, ["table", "2 5 7 8", "--nmax", "8"])
         assert code == 0
@@ -239,6 +261,29 @@ class TestVerbs:
         assert cli.run(["weights", "2 5 7 8"]) == 0
         out = capsys.readouterr().out
         assert "-90" in out and "18" in out
+
+
+class TestVerifierIndependence:
+    """A wrong cached integer form must make verify fail: the products it
+    feeds are checked against the derivative route, which never reads it."""
+
+    @staticmethod
+    def wrong_scale(L, b):
+        return 2 * L, b
+
+    @staticmethod
+    def wrong_node(L, b):
+        return L, b[:-1] + (b[-1] + 1,)  # still the largest, still distinct
+
+    @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
+    def test_wrong_scaled_form_fails_verify(self, corrupt, capsys, monkeypatch):
+        true_scaled = nodes.NodeSet.scaled.func
+        monkeypatch.setattr(nodes.NodeSet, "scaled",
+                            property(lambda ns: corrupt(*true_scaled(ns))))
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        failed = {c["name"] for c in res["checks"] if not c["ok"]}
+        assert "difference products match derivative route" in failed
 
 
 # --- the CLI contract over arbitrary input -------------------------------

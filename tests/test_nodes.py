@@ -22,7 +22,7 @@ from diffprod import (
     homogeneous_brute_force,
     nodeset_new,
 )
-from .strategies import node_sets, rationals
+from .strategies import EDGE_SETS, node_sets, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
 FOUR = nodeset_new([2, 5, 7, 8])
@@ -56,6 +56,26 @@ class TestNodeSetNew:
             filled.values = ()
 
 
+class TestScaled:
+    def test_mixed_denominators(self):
+        ns = nodeset_new([F(1, 2), F(-2, 3), F(5, 6), 4])
+        assert ns.scaled == (6, (-4, 3, 5, 24))
+
+    def test_integers_are_their_own_scale(self):
+        assert FOUR.scaled == (1, (2, 5, 7, 8))
+
+    @given(node_sets)
+    def test_scaled_nodes_are_the_nodes(self, ns):
+        L, b = ns.scaled
+        assert all(type(bi) is int for bi in b)
+        assert [F(bi, L) for bi in b] == list(ns.values)
+
+
+# Direct Fraction products: the reference the integer kernel must reproduce.
+def inline_products(vals):
+    return [prod((a - b for b in vals if b != a), start=F(1)) for a in vals]
+
+
 class TestDiffProducts:
     def test_four_nodes(self):
         assert diff_products(FOUR) == [-90, 18, -10, 18]
@@ -65,6 +85,17 @@ class TestDiffProducts:
 
     def test_singleton_empty_product(self):
         assert diff_products(nodeset_new([F(5)])) == [1]
+
+    @given(node_sets)
+    def test_matches_inline_fraction_products(self, ns):
+        got = diff_products(ns)
+        assert all(type(A) is F for A in got)
+        assert got == inline_products(ns.values)
+
+    @pytest.mark.parametrize("values", EDGE_SETS.values(), ids=EDGE_SETS)
+    def test_edge_sets_match_inline_fraction_products(self, values):
+        ns = nodeset_new(values)
+        assert diff_products(ns) == inline_products(ns.values)
 
     @given(node_sets)
     def test_sign_parity(self, ns):
@@ -136,9 +167,7 @@ class TestEulerSums:
     @given(node_sets, st.integers(min_value=0, max_value=10))
     def test_matches_inline_sum(self, ns, nmax):
         vals = ns.values
-        products = [
-            prod((a - b for b in vals if b != a), start=F(1)) for a in vals
-        ]
+        products = inline_products(vals)
         assert euler_sums(ns, nmax) == [
             sum((a**n / A for a, A in zip(vals, products)), F(0))
             for n in range(nmax + 1)

@@ -12,9 +12,10 @@ from diffprod import (
     homogeneous_via_power_sums,
     newton_power_from_elementary,
     nodeset_new,
+    poly_from_roots,
     power_sums,
 )
-from .strategies import node_sets, rationals
+from .strategies import EDGE_SETS, node_sets, rationals
 
 ONE_TWO_THREE = nodeset_new([1, 2, 3])
 
@@ -32,6 +33,25 @@ class TestElementary:
 
     def test_zero_beyond_m(self):
         assert elementary_all(ONE_TWO_THREE, 5) == [1, 6, 11, 6, 0, 0]
+
+    @staticmethod
+    def from_poly_coefficients(ns, kmax):
+        """e_k = (-1)^k [z^(m-k)] prod(z - a_i), over Fractions; 0 beyond m."""
+        coeffs = poly_from_roots(ns.values)
+        return [(-1) ** k * coeffs[ns.m - k] if k <= ns.m else F(0)
+                for k in range(kmax + 1)]
+
+    @given(node_sets, st.integers(min_value=0, max_value=3))
+    def test_matches_poly_from_roots(self, ns, extra):
+        got = elementary_all(ns, ns.m + extra)
+        assert all(type(e) is F for e in got)
+        assert got == self.from_poly_coefficients(ns, ns.m + extra)
+
+    @pytest.mark.parametrize("values", EDGE_SETS.values(), ids=EDGE_SETS)
+    def test_edge_sets_match_poly_from_roots(self, values):
+        ns = nodeset_new(values)
+        for kmax in (0, ns.m, ns.m + 2):
+            assert elementary_all(ns, kmax) == self.from_poly_coefficients(ns, kmax)
 
 
 class TestPowerSums:
