@@ -9,6 +9,7 @@ limits below.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from .nodes import (
     expected_euler_sums,
     nodeset_new,
 )
-from .partfrac import decompose, euler_sum_via_decomposition, reconstruct
+from .partfrac import decompose, decompositions, euler_sums_via_decomposition, reconstruct
 from .symmetric import (
     elementary_all,
     homogeneous_brute_force,
@@ -296,10 +297,8 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
           sums[: nmax + 1] == expected_euler_sums(ns, nmax))
     if ns.m >= 2:
         check("decomposition route reproduces the sum",
-              all(euler_sum_via_decomposition(ns, n) == sums[n]
-                  for n in range(nmax + 1)))
-    check("decompositions reconstruct exactly",
-          all(reconstruct(decompose(n, ns)) for n in range(nmax + 1)))
+              euler_sums_via_decomposition(ns, nmax) == sums[: nmax + 1])
+    check("decompositions reconstruct exactly", reconstruct(*decompositions(ns, nmax)))
 
     _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
     check("homogeneous recurrences agree", h_e == h_p)
@@ -368,28 +367,48 @@ def render_json(result: dict) -> str:
     return json.dumps(result, indent=2)
 
 
+@contextlib.contextmanager
+def _int_str_unlimited():
+    """Lift CPython's limit on int <-> str conversion (4300 digits), so that
+    exact output of any size can be written, and restore it on the way out:
+    `run` is also called in-process.  Interpreters without the limit run as
+    they are."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         ns = parse_nodes(args.nodes)
-        result = args.runner(ns, _exponent(args.exponent, ns))
+        exponent = _exponent(args.exponent, ns)
     except (ParseError, LimitExceeded, DuplicateNode, EmptyNodeSet,
             NegativeExponent, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    code = 0 if result.get("all_identities_hold", True) else 1
-    try:
-        if args.format == "json":
-            print(render_json(result))
-        else:
-            args.printer(result)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early.  Point stdout at devnull so the
-        # flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    with _int_str_unlimited():
+        result = args.runner(ns, exponent)
+        code = 0 if result.get("all_identities_hold", True) else 1
+        try:
+            if args.format == "json":
+                print(render_json(result))
+            else:
+                args.printer(result)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early.  Point stdout at devnull so
+            # the flush at interpreter exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

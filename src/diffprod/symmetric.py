@@ -9,8 +9,8 @@ The e-list is read off the integer form ns.scaled of the node set.  Two
 independent recurrences compute h, and a direct multiset enumeration
 serves as an oracle against both.  The oracle enumerates on integers too,
 but scales the nodes itself: with L the lcm of their denominators, it sums
-the products of the integers a_i*L over every multiset and divides by L^k
-once.
+the products of the integers a_i*L over every multiset, split into a low
+and a high half of the nodes, and divides by L^k once.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ def homogeneous_via_elementary(e: Sequence, kmax: int) -> list[Fraction]:
     h = [Fraction(1)]
     for k in range(1, kmax + 1):
         acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(e):
-                acc += (-1) ** (j - 1) * e[j] * h[k - j]
+        for j in range(1, min(k, len(e) - 1) + 1):
+            acc += (-1) ** (j - 1) * e[j] * h[k - j]
         h.append(acc)
     return h
 
@@ -80,15 +79,26 @@ def homogeneous_brute_force(ns: "NodeSet", k: int) -> Fraction:
     Each node a_i becomes the integer b_i = a_i*L, L the lcm of the node
     denominators; the sum of the C(m+k-1, k) integer products over all
     multisets of the b_i is divided by L^k once, so the result is the same
-    value with one normalisation.  Intended as an oracle for small m and k,
-    and kept deliberately independent of both recurrences.
+    value with one normalisation.  The scaled nodes are split into two
+    halves: a multiset of size k is one of size s from the low half and one
+    of size k-s from the high half, and its product is the product of
+    theirs.  So for each s the high-half products are listed once and every
+    low-half product is multiplied by each of them: every monomial is still
+    formed and summed on its own, while only one level of one half is held
+    in memory.  Intended as an oracle for small m and k, and kept
+    deliberately independent of both recurrences.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     scale = lcm(*(a.denominator for a in ns.values))
     scaled = [a.numerator * (scale // a.denominator) for a in ns.values]
-    return Fraction(
-        sum(prod(combo) for combo in combinations_with_replacement(scaled, k)),
-        scale**k,
-    )
+    lo, hi = scaled[: len(scaled) // 2], scaled[len(scaled) // 2 :]
+    total = 0
+    for s in range(k + 1):
+        right = list(map(prod, combinations_with_replacement(hi, k - s)))
+        for p in map(prod, combinations_with_replacement(lo, s)):
+            total += sum(map(p.__mul__, right))
+    return Fraction(total, scale**k)
 
 
 def newton_power_from_elementary(e: Sequence, kmax: int) -> list[Fraction]:
@@ -98,9 +108,8 @@ def newton_power_from_elementary(e: Sequence, kmax: int) -> list[Fraction]:
     p: list[Fraction] = []
     for k in range(1, kmax + 1):
         acc = Fraction(0)
-        for j in range(1, k):
-            if j < len(e):
-                acc += (-1) ** (j - 1) * e[j] * p[k - j - 1]
+        for j in range(1, min(k - 1, len(e) - 1) + 1):
+            acc += (-1) ** (j - 1) * e[j] * p[k - j - 1]
         ek = e[k] if k < len(e) else Fraction(0)
         acc += (-1) ** (k - 1) * k * ek
         p.append(acc)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffprod import cli, nodes, nodeset_new
+from diffprod import cli, nodes, nodeset_new, partfrac
 from diffprod.cli import ParseError, fmt, fmt_poly, parse_nodes
 
 
@@ -230,9 +230,10 @@ class TestVerbs:
 
         monkeypatch.setattr(nodes, "diff_products", counting)
         assert cli.run([verb, "1/2 -3 7/3 4", "--nmax", "9"]) == 0
-        # verify also decomposes over a fresh set of the first m-1 nodes per n.
+        # verify also decomposes over one fresh set of the first m-1 nodes.
         assert len({id(ns) for ns in seen}) == len(seen)
         assert sum(ns.m == 4 for ns in seen) == 1
+        assert len(seen) == (2 if verb == "verify" else 1)
 
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full
@@ -263,9 +264,70 @@ class TestVerbs:
         assert "-90" in out and "18" in out
 
 
+class TestLargeOutput:
+    """Exact values past CPython's 4300-digit int <-> str limit are printed,
+    not a traceback.  On the nodes a = 100000, b = a + 1 every value has a
+    closed form: A = (-1, 1), S_n = h_{n-1} = b^n - a^n.  The expected text
+    is built from those forms, with the limit lifted only after the run."""
+
+    A, B, N = 100000, 100001, 1000
+
+    @staticmethod
+    def output(capsys, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code = cli.run(argv)
+        # run is also called in-process, so it must restore the limit.
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        return out
+
+    def test_table(self, capsys):
+        out = self.output(capsys, ["table", f"{self.A} {self.B}", "--nmax", str(self.N)])
+        with cli._int_str_unlimited():
+            sums = [str(self.B**n - self.A**n) for n in range(self.N + 1)]
+            w = len(sums[-1])
+            expected = [f"nodes (m=2): {self.A} {self.B}",
+                        f"{'n':>3}  {'sum':>{w}}  {'expected':>{w}}  match"]
+            expected += [f"{n:>3}  {s:>{w}}  {s:>{w}}  yes" for n, s in enumerate(sums)]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_weights(self, capsys):
+        out = self.output(capsys, ["weights", f"{self.A} {self.B}", "--n", str(self.N)])
+        with cli._int_str_unlimited():
+            a, b = str(self.A**self.N), str(self.B**self.N)
+            expected = [
+                f"nodes (m=2): {self.A} {self.B}",
+                "node  signed A  display term",
+                f"100000          -1  +{a}",
+                f"100001           1  -{b}",
+                f"({a} - {b})/1 = {self.A**self.N - self.B**self.N}",
+            ]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_decompose(self, capsys):
+        out = self.output(capsys, ["decompose", f"{self.A} {self.B}", "--n", str(self.N)])
+        with cli._int_str_unlimited():
+            # polynomial part: x^(N-2) + h_1 x^(N-3) + ... + h_(N-2)
+            part = f"x^{self.N - 2}"
+            for k in range(1, self.N - 1):
+                d = self.N - 2 - k
+                x = "" if d == 0 else "*x" if d == 1 else f"*x^{d}"
+                part += f" + {self.B**(k + 1) - self.A**(k + 1)}{x}"
+            expected = [
+                f"x^{self.N} / prod(x - a_i), nodes: {self.A} {self.B}",
+                f"polynomial part: {part}",
+                f"residue at {self.A}: {-self.A**self.N}",
+                f"residue at {self.B}: {self.B**self.N}",
+                "reconstruction check: ok",
+            ]
+        assert out == "\n".join(expected) + "\n"
+
+
 class TestVerifierIndependence:
     """A wrong cached integer form must make verify fail: the products it
-    feeds are checked against the derivative route, which never reads it."""
+    feeds are checked against the derivative route, which never reads it.
+    Likewise for the per-set objects of the partial-fraction routes."""
 
     @staticmethod
     def wrong_scale(L, b):
@@ -284,6 +346,50 @@ class TestVerifierIndependence:
         assert code == 1
         failed = {c["name"] for c in res["checks"] if not c["ok"]}
         assert "difference products match derivative route" in failed
+
+    @staticmethod
+    def verify_fails(capsys, check):
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert check in {c["name"] for c in res["checks"] if not c["ok"]}
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda W: [W[0] + 1, *W[1:]],  # no longer divisible by each z - b_i
+        lambda W: [2 * c for c in W],  # still divisible, but not monic
+    ])
+    def test_wrong_node_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
+        true_node_polynomial = partfrac._node_polynomial
+
+        def wrong(values):
+            L, b, W = true_node_polynomial(values)
+            return L, b, corrupt(W)
+
+        monkeypatch.setattr(partfrac, "_node_polynomial", wrong)
+        self.verify_fails(capsys, "decompositions reconstruct exactly")
+
+    def test_wrong_cofactor_fails_verify(self, capsys, monkeypatch):
+        true_divide = partfrac._divide_linear
+        calls = []
+
+        def wrong(coeffs, b):
+            quot, rem = true_divide(coeffs, b)
+            calls.append(b)
+            if len(calls) == 1:  # only the first pole's cofactor
+                quot = [quot[0] + 1, *quot[1:]]
+            return quot, rem
+
+        monkeypatch.setattr(partfrac, "_divide_linear", wrong)
+        self.verify_fails(capsys, "decompositions reconstruct exactly")
+
+    def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
+        true_ladder = partfrac.homogeneous_via_elementary
+
+        def wrong(e, kmax):
+            h = true_ladder(e, kmax)
+            return h[:-1] + [h[-1] + 1]
+
+        monkeypatch.setattr(partfrac, "homogeneous_via_elementary", wrong)
+        self.verify_fails(capsys, "decompositions reconstruct exactly")
 
 
 # --- the CLI contract over arbitrary input -------------------------------

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from diffprod import (
     NegativeExponent,
     NodeSetTooSmall,
+    PartialFractionDecomposition,
     decompose,
+    decompositions,
     diff_products,
     euler_sum,
     euler_sum_via_decomposition,
+    euler_sums,
+    euler_sums_via_decomposition,
     homogeneous_brute_force,
     nodeset_new,
+    poly_from_roots,
     reconstruct,
 )
 from diffprod import partfrac
@@ -76,6 +81,25 @@ class TestDecompose:
             assert pfd.polynomial_part == expected
 
 
+class TestDecompositions:
+    @given(node_sets, st.integers(min_value=0, max_value=13))
+    def test_each_matches_inline_decomposition(self, ns, nmax):
+        products = diff_products(ns)
+        pfds = decompositions(ns, nmax)
+        assert [p.power for p in pfds] == list(range(nmax + 1))
+        for n, pfd in enumerate(pfds):
+            assert pfd.poles is ns
+            assert pfd.residues == [a**n / A for a, A in zip(ns.values, products)]
+            k = n - ns.m
+            assert pfd.polynomial_part == [
+                homogeneous_brute_force(ns, k - d) for d in range(k + 1)
+            ]
+
+    def test_negative_nmax(self):
+        with pytest.raises(NegativeExponent):
+            decompositions(FOUR, -1)
+
+
 class TestReconstruct:
     def test_two_pole_example(self):
         assert reconstruct(decompose(2, nodeset_new([1, 2])))
@@ -91,10 +115,36 @@ class TestReconstruct:
     def test_always_reconstructs(self, ns, n):
         assert reconstruct(decompose(n, ns))
 
+    @settings(deadline=None)
+    @given(node_sets, st.integers(min_value=0, max_value=13))
+    def test_all_at_once(self, ns, nmax):
+        assert reconstruct(*decompositions(ns, nmax))
+
+    def test_one_wrong_decomposition_among_many_is_false(self):
+        pfds = decompositions(SIX, 9)
+        for i, pfd in enumerate(pfds):
+            wrong = PartialFractionDecomposition(
+                pfd.power, SIX, pfd.polynomial_part,
+                [pfd.residues[0] + F(1, 7), *pfd.residues[1:]])
+            assert reconstruct(*pfds[:i], wrong, *pfds[i + 1:]) is False
+
+    def test_different_poles_raise(self):
+        with pytest.raises(ValueError):
+            reconstruct(decompose(3, SIX), decompose(3, FOUR))
+
+    @given(node_sets)
+    def test_node_polynomial_is_scaled_poly_from_roots(self, ns):
+        # W(z) = L^m w(z/L), so [z^k] W = L^(m-k) [x^k] w.
+        L, b, W = partfrac._node_polynomial(ns.values)
+        assert all(type(c) is int for c in (L, *b, *W))
+        assert [F(bi, L) for bi in b] == list(ns.values)
+        w = poly_from_roots(ns.values)
+        assert W == [L ** (ns.m - k) * c for k, c in enumerate(w)]
+
     def test_nonzero_remainder_is_false(self, monkeypatch):
-        divide = partfrac.poly_divide_linear
-        monkeypatch.setattr(partfrac, "poly_divide_linear",
-                            lambda coeffs, a: (divide(coeffs, a)[0], F(1)))
+        divide = partfrac._divide_linear
+        monkeypatch.setattr(partfrac, "_divide_linear",
+                            lambda coeffs, b: (divide(coeffs, b)[0], 1))
         assert reconstruct(decompose(5, SIX)) is False
 
     def test_holds_without_asserts(self):
@@ -128,3 +178,7 @@ class TestEulerSumViaDecomposition:
     @given(multi_node_sets, st.integers(min_value=0, max_value=13))
     def test_agrees_with_direct_sum(self, ns, n):
         assert euler_sum_via_decomposition(ns, n) == euler_sum(ns, n)
+
+    @given(multi_node_sets, st.integers(min_value=0, max_value=13))
+    def test_list_agrees_with_direct_sums(self, ns, nmax):
+        assert euler_sums_via_decomposition(ns, nmax) == euler_sums(ns, nmax)

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
@@ -160,6 +161,17 @@ class TestBruteForce:
             for a in combo:
                 term *= a
             expected += term
+        h = homogeneous_brute_force(ns, k)
+        assert type(h) is F and h == expected
+
+    @given(st.lists(rationals, min_size=1, max_size=6, unique=True),
+           st.integers(min_value=0, max_value=8))
+    def test_halves_match_plain_enumeration(self, values, k):
+        # The whole multiset enumeration on the scaled integers, unsplit.
+        ns = nodeset_new(values)
+        L = lcm(*(a.denominator for a in ns.values))
+        b = [a.numerator * (L // a.denominator) for a in ns.values]
+        expected = F(sum(prod(c) for c in combinations_with_replacement(b, k)), L**k)
         h = homogeneous_brute_force(ns, k)
         assert type(h) is F and h == expected
 
