@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -30,7 +31,6 @@ from .nodes import (
 )
 from .partfrac import decompose, decompositions, euler_sums_via_decomposition, reconstruct
 from .symmetric import (
-    elementary_all,
     homogeneous_brute_force,
     homogeneous_via_elementary,
     homogeneous_via_power_sums,
@@ -63,6 +63,8 @@ class LimitExceeded(ValueError):
 
     def __init__(self, what: str, limit: int):
         super().__init__(f"{what} exceeds limit {limit}")
+        self.what = what
+        self.limit = limit
 
 
 def parse_nodes(text: str) -> NodeSet:
@@ -246,12 +248,13 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
     triple = all(a == b and bf in (None, a) for a, b, bf in zip(h_e, h_p, h_bf))
+    e = (ns.elementary + (Fraction(0),) * kmax)[: kmax + 1]  # e_k = 0 for k > m
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
-            "e": [fmt(v) for v in elementary_all(ns, kmax)],
+            "e": [fmt(v) for v in e],
             "p": [fmt(v) for v in p],
             "h_via_elementary": [fmt(v) for v in h_e],
             "h_via_power_sums": [fmt(v) for v in h_p],
@@ -323,7 +326,12 @@ def _print_verify(res: dict) -> None:
           else "verification FAILED")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared by every
+    `run` call, so an in-process call pays only for its verb.  Callers must
+    not mutate it.  Each verb's runner and printer are bound when it is
+    built; help width is read when help is printed, not here."""
     parser = argparse.ArgumentParser(
         prog="diffprod",
         description="Exact difference-product sums, their closed forms, "

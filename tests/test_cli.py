@@ -1,16 +1,21 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diffprod import cli, nodes, nodeset_new, partfrac
-from diffprod.cli import ParseError, fmt, fmt_poly, parse_nodes
+from diffprod.cli import LimitExceeded, ParseError, fmt, fmt_poly, parse_nodes
+
+from .test_golden import load, run_cli
 
 
 class TestParseNodes:
@@ -55,6 +60,12 @@ class TestParseNodes:
             parse_nodes("1 1/0 2")
         assert exc.value.token == "1/0"
         assert exc.value.position == 1
+
+    def test_limit_exceeded_keeps_its_fields(self):
+        with pytest.raises(LimitExceeded) as exc:
+            parse_nodes(" ".join(map(str, range(1001))))
+        assert (exc.value.what, exc.value.limit) == ("node count 1001", 1000)
+        assert str(exc.value) == "node count 1001 exceeds limit 1000"
 
     def test_at_file(self, tmp_path):
         f = tmp_path / "nodes.txt"
@@ -324,6 +335,64 @@ class TestLargeOutput:
         assert out == "\n".join(expected) + "\n"
 
 
+class TestSharedParser:
+    """One parser per process serves every `run` call, with the same
+    output as a freshly built one."""
+
+    # All five verbs, both formats, explicit and default exponents, and a
+    # decompose without its required --n, which exits 2.
+    MIXED = [
+        ["weights", "2 5 7 8"],
+        ["weights", "1/2 -3 7/3", "--n", "1", "--format", "json"],
+        ["table", "3 8 12 15 17 18", "--nmax", "6"],
+        ["table", "1/2 -3 7/3", "--format", "json"],
+        ["decompose", "1 2", "--n", "2", "--format", "json"],
+        ["decompose", "1 2"],
+        ["symmetric", "1 2 3", "--kmax", "4"],
+        ["symmetric", "2 5 7 8", "--format", "json"],
+        ["verify", "1/2 -3 7/3", "--nmax", "9", "--format", "json"],
+        ["verify", "3 8 12 15 17 18"],
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_later_runs_construct_no_parser(self, capsys, monkeypatch):
+        cli.run(["weights", "1 2 3"])
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(20):
+            assert cli.run(["weights", "1 2 3"]) == 0
+        assert built == []
+        # The wrapper does see constructions: a cleared cache builds anew.
+        cli.build_parser.cache_clear()
+        assert cli.run(["weights", "1 2 3"]) == 0
+        assert built
+
+    def test_same_output_on_every_run(self):
+        first = [run_cli(argv) for argv in self.MIXED]
+        assert [r["exit"] for r in first] == [0] * 5 + [2] + [0] * 4
+        assert "--n" in first[5]["stderr"]
+        assert [run_cli(argv) for argv in self.MIXED] == first
+        cli.build_parser.cache_clear()
+        assert [run_cli(argv) for argv in self.MIXED] == first
+
+    def test_help_width_is_read_when_printed(self):
+        cli.build_parser.cache_clear()
+        try:
+            with mock.patch.dict(os.environ, {"COLUMNS": "40"}):
+                cli.build_parser()
+            assert run_cli(["--help"]) == load("help")
+        finally:
+            cli.build_parser.cache_clear()
+
+
 class TestVerifierIndependence:
     """A wrong cached integer form must make verify fail: the products it
     feeds are checked against the derivative route, which never reads it.
@@ -449,3 +518,27 @@ def test_cli_contract_holds_for_any_input(tmp_path, argv, file_bytes):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert _failed_check_named(out.getvalue())
+
+
+# Nodes of 6 or 7 digits and exponents up to the limit: values past CPython's
+# 4300-digit int <-> str limit.  Rational nodes with large denominators are
+# left out, because at these exponents they take tens of seconds per call.
+big_node = st.one_of(st.integers(10**5, 10**6), st.integers(-(10**6), -(10**5)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    values=st.lists(big_node, min_size=2, max_size=4, unique=True),
+    verb=st.sampled_from(["table", "weights", "decompose"]),
+    exponent=st.integers(700, 1000),
+)
+@example(values=[-(10**6), 999_999, 10**6], verb="table", exponent=1000)
+@example(values=[-(10**6), 999_999, 10**6], verb="weights", exponent=1000)
+@example(values=[-(10**6), 999_999, 10**6], verb="decompose", exponent=1000)
+def test_cli_contract_holds_for_large_output(values, verb, exponent):
+    argv = [verb, EXPONENT_OPTION[verb], str(exponent), "--", " ".join(map(str, values))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code == 0
+    assert "Traceback" not in err.getvalue()
