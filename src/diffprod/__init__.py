@@ -1,28 +1,15 @@
 """Exact arithmetic for difference-product sums and their closed forms."""
 
-from .exactpoly import (
-    poly_add,
-    poly_derivative,
-    poly_divide_linear,
-    poly_eval,
-    poly_from_roots,
-    poly_mul,
-)
 from .nodes import (
     DuplicateNode,
-    EmptyInput,
     EmptyNodeSet,
-    FractionRow,
     FractionTable,
     NegativeExponent,
     NodeSet,
     alternating_display,
-    common_denominator_form,
     diff_products,
     diff_products_via_derivative,
-    euler_sum,
     euler_sums,
-    expected_euler_sum,
     expected_euler_sums,
     nodeset_new,
 )
@@ -31,7 +18,6 @@ from .partfrac import (
     PartialFractionDecomposition,
     decompose,
     decompositions,
-    euler_sum_via_decomposition,
     euler_sums_via_decomposition,
     reconstruct,
 )
@@ -45,33 +31,21 @@ from .symmetric import (
 )
 
 __all__ = [
-    "poly_add",
-    "poly_derivative",
-    "poly_divide_linear",
-    "poly_eval",
-    "poly_from_roots",
-    "poly_mul",
     "DuplicateNode",
-    "EmptyInput",
     "EmptyNodeSet",
-    "FractionRow",
     "FractionTable",
     "NegativeExponent",
     "NodeSet",
     "alternating_display",
-    "common_denominator_form",
     "diff_products",
     "diff_products_via_derivative",
-    "euler_sum",
     "euler_sums",
-    "expected_euler_sum",
     "expected_euler_sums",
     "nodeset_new",
     "NodeSetTooSmall",
     "PartialFractionDecomposition",
     "decompose",
     "decompositions",
-    "euler_sum_via_decomposition",
     "euler_sums_via_decomposition",
     "reconstruct",
     "elementary_all",

@@ -1,81 +1,49 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomials with integer coefficients.
 
-A polynomial is a list of `fractions.Fraction` coefficients in ascending
-order of degree with no trailing zeros; the zero polynomial is the empty
-list.  All operations are pure and return fresh lists, so values can be
-shared freely between threads.
+A polynomial is a list of ints in ascending order of degree.  The node
+polynomial w(x) = prod(x - a_i) of rational nodes is put on integers by L,
+the lcm of their denominators: with b_i = a_i*L,
+W(z) = prod(z - b_i) = L^m w(z/L).  Its derivative, its values (Horner) and
+its quotients by z - b_i (synthetic division) are then integer operations.
+All functions are pure and return fresh lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
-
-Polynomial = list  # list[Fraction], ascending degree, normalized
-
-
-def normalize(coeffs: Iterable) -> Polynomial:
-    """Coerce coefficients to Fraction and strip trailing zeros."""
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from itertools import accumulate
+from math import lcm
+from operator import add
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return normalize(out)
+def node_polynomial(values) -> tuple[int, list[int], list[int]]:
+    """(L, b, W): L the lcm of the denominators, b_i = a_i*L, and the
+    integer coefficients of W(z) = prod(z - b_i), ascending."""
+    L = lcm(*(a.denominator for a in values))
+    b = [a.numerator * (L // a.denominator) for a in values]
+    W = [1]
+    for bi in b:
+        W = list(map(add, [0, *W], [-bi * c for c in W] + [0]))
+    return L, b, W
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
+def derivative(coeffs: list[int]) -> list[int]:
+    """Coefficients of the derivative, ascending; [] for a constant."""
+    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def poly_from_roots(roots: Sequence) -> Polynomial:
-    """Monic polynomial with the given roots; empty input gives 1."""
-    p = [Fraction(1)]
-    for r in roots:
-        p = poly_mul(p, [-Fraction(r), Fraction(1)])
-    return p
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    return normalize(k * c for k, c in enumerate(p) if k > 0)
-
-
-def poly_eval(p: Polynomial, x) -> Fraction:
-    """Evaluate p at x by Horner's scheme."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
+def evaluate(coeffs: list[int], x: int) -> int:
+    """The value at x, by Horner's scheme; 0 for the empty list."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def poly_divide_linear(p: Polynomial, a) -> tuple[Polynomial, Fraction]:
-    """Synthetic division of p by (z - a); returns (quotient, remainder).
+def divide_linear(coeffs: list[int], b: int) -> tuple[list[int], int]:
+    """Synthetic division of nonempty coeffs by (z - b): (quotient, remainder).
 
-    The remainder equals p(a), so p == (z - a) * quotient + remainder.
+    The remainder is the value at b, so coeffs == (z - b) * quotient + remainder.
     """
-    a = Fraction(a)
-    quot = []
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * a + c
-        quot.append(acc)
-    if quot:
-        rem = quot.pop()
-    else:
-        rem = Fraction(0)
-    quot.reverse()
-    return normalize(quot), rem
+    quot = list(accumulate(reversed(coeffs), lambda acc, c: acc * b + c))
+    rem = quot.pop()
+    return quot[::-1], rem

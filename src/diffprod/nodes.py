@@ -15,7 +15,7 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Sequence
 
-from .exactpoly import poly_derivative, poly_eval, poly_from_roots
+from .exactpoly import derivative, evaluate, node_polynomial
 from .symmetric import elementary_all, homogeneous_via_elementary
 
 
@@ -120,9 +120,15 @@ def diff_products(ns: NodeSet) -> list[Fraction]:
 
 
 def diff_products_via_derivative(ns: NodeSet) -> list[Fraction]:
-    """Same products obtained as w'(a_i) for w = prod(z - a_j)."""
-    w1 = poly_derivative(poly_from_roots(ns.values))
-    return [poly_eval(w1, a) for a in ns.values]
+    """Same products obtained as w'(a_i) for w = prod(z - a_j).
+
+    On the integer node polynomial W(z) = L^m w(z/L) of `exactpoly`, built
+    from the values alone, W'(b_i) = L^(m-1) w'(a_i).
+    """
+    L, b, W = node_polynomial(ns.values)
+    w1 = derivative(W)
+    scale = L ** (ns.m - 1)
+    return [Fraction(evaluate(w1, bi), scale) for bi in b]
 
 
 def _check_exponent(n: int) -> None:
@@ -149,11 +155,6 @@ def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     return sums
 
 
-def euler_sum(ns: NodeSet, n: int) -> Fraction:
-    """Exact value of sum a_i^n / A_i (with 0**0 = 1)."""
-    return euler_sums(ns, n)[n]
-
-
 def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     """Closed forms of euler_sums: 0 for n <= m-2, then h_0, h_1, ... from n = m-1."""
     _check_exponent(nmax)
@@ -163,11 +164,6 @@ def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     return [Fraction(0)] * (m - 1) + homogeneous_via_elementary(
         ns.elementary, nmax - m + 1
     )
-
-
-def expected_euler_sum(ns: NodeSet, n: int) -> Fraction:
-    """Closed form of euler_sum: 0 for n <= m-2, else h_{n-m+1}."""
-    return expected_euler_sums(ns, n)[n]
 
 
 def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:

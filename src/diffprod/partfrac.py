@@ -9,8 +9,8 @@ parts for every n up to nmax from one ladder.
 `reconstruct` checks the identity coefficient by coefficient on integers
 of its own, reading nothing the decomposition was built from: with L the
 lcm of the pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i)
-and its cofactors W_i = W / (z - b_i) once per call, substitutes x = z/L
-and clears each decomposition's denominators with one D.
+and its cofactors W_i = W / (z - b_i) once per call (`exactpoly`),
+substitutes x = z/L and clears each decomposition's denominators with one D.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import add, mul
 
+from .exactpoly import divide_linear, node_polynomial
 from .nodes import NegativeExponent, NodeSet, nodeset_new
 from .symmetric import homogeneous_via_elementary
 
@@ -67,24 +68,6 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
     return decompositions(poles, n)[n]
 
 
-def _node_polynomial(values) -> tuple[int, list[int], list[int]]:
-    """(L, b, W): L the lcm of the denominators, b_i = a_i*L, and the
-    integer coefficients of W(z) = prod(z - b_i), ascending."""
-    L = lcm(*(a.denominator for a in values))
-    b = [a.numerator * (L // a.denominator) for a in values]
-    W = [1]
-    for bi in b:
-        W = list(map(add, [0, *W], [-bi * c for c in W] + [0]))
-    return L, b, W
-
-
-def _divide_linear(coeffs: list[int], b: int) -> tuple[list[int], int]:
-    """Integer synthetic division by (z - b): (quotient, remainder), ascending."""
-    quot = list(accumulate(reversed(coeffs), lambda acc, c: acc * b + c))
-    rem = quot.pop()
-    return quot[::-1], rem
-
-
 def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecomposition) -> bool:
     """Check x^n == part * prod(x - a_i) + sum residues[i] * prod_{j != i}(x - a_j)
     for each given decomposition; all must be over the same poles.
@@ -101,10 +84,10 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
         raise ValueError("decompositions over different poles")
     pfds = (pfd, *more)
     m = poles.m
-    L, b, W = _node_polynomial(poles.values)
+    L, b, W = node_polynomial(poles.values)
     cofactors = []
     for bi in b:
-        cofactor, rem = _divide_linear(W, bi)
+        cofactor, rem = divide_linear(W, bi)
         if rem != 0:
             return False
         cofactors.append(cofactor)
@@ -151,8 +134,3 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
         last *= x
     return sums
 
-
-def euler_sum_via_decomposition(ns: NodeSet, n: int) -> Fraction:
-    """S_n = sum a_i^n / A_i by the partial-fraction argument; see
-    euler_sums_via_decomposition."""
-    return euler_sums_via_decomposition(ns, n)[n]

@@ -16,6 +16,16 @@ multi_node_sets = st.lists(
 ).map(nodeset_new)
 
 
+def poly_from_roots(roots):
+    """Reference node polynomial over Fractions: the monic prod(x - r),
+    ascending; [1] for no roots.  Kept independent of the package."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = [lo - Fraction(r) * hi
+             for lo, hi in zip([Fraction(0), *p], [*p, Fraction(0)])]
+    return p
+
+
 def random_node_sets(count, seed):
     """Deterministic batch of node sets, m in [2, 8], bounded rational entries."""
     rng = random.Random(seed)

@@ -14,13 +14,12 @@ import pytest
 
 from diffprod import (
     alternating_display,
-    common_denominator_form,
     decompose,
     diff_products,
     diff_products_via_derivative,
     elementary_all,
-    euler_sum,
-    euler_sum_via_decomposition,
+    euler_sums,
+    euler_sums_via_decomposition,
     homogeneous_brute_force,
     homogeneous_via_elementary,
     homogeneous_via_power_sums,
@@ -30,6 +29,7 @@ from diffprod import (
     reconstruct,
 )
 from diffprod import cli
+from diffprod.nodes import common_denominator_form
 from .strategies import random_node_sets
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -47,7 +47,7 @@ def _report(n, text):
 
 def test_criterion_1_first_example():
     assert diff_products(FOUR) == [-90, 18, -10, 18]
-    assert euler_sum(FOUR, 0) == 0
+    assert euler_sums(FOUR, 0)[0] == 0
     _report(1, "example {2,5,7,8}")
 
 
@@ -55,9 +55,9 @@ def test_criterion_2_second_example():
     products = diff_products(SIX)
     assert [abs(A) for A in products] == [113400, 12600, 3240, 1512, 1260, 2700]
     for n in range(5):
-        assert euler_sum(SIX, n) == 0
-    assert euler_sum(SIX, 5) == 1
-    assert euler_sum(SIX, 6) == 73
+        assert euler_sums(SIX, n)[n] == 0
+    assert euler_sums(SIX, 5)[5] == 1
+    assert euler_sums(SIX, 6)[6] == 73
     table = alternating_display(SIX, 0)
     scaled = [36 * r.sign / r.magnitude for r in table.rows]
     assert common_denominator_form(scaled) == ([1, -9, 35, -75, 90, -42], 3150)
@@ -69,16 +69,16 @@ def test_criterion_3_general_theorem(random_sets):
     for ns in random_sets:
         m = ns.m
         for n in range(m - 1):
-            assert euler_sum(ns, n) == 0
+            assert euler_sums(ns, n)[n] == 0
         for n in range(m - 1, m + 6):
-            assert euler_sum(ns, n) == homogeneous_brute_force(ns, n - m + 1)
+            assert euler_sums(ns, n)[n] == homogeneous_brute_force(ns, n - m + 1)
     _report(3, "zero sums and closed forms on 200 random sets")
 
 
 def test_criterion_4_demonstration_path(random_sets):
     for ns in random_sets:
         for n in range(ns.m + 6):
-            assert euler_sum_via_decomposition(ns, n) == euler_sum(ns, n)
+            assert euler_sums_via_decomposition(ns, n)[n] == euler_sums(ns, n)[n]
             assert reconstruct(decompose(n, ns))
     _report(4, "decomposition route and reconstruction")
 

@@ -263,11 +263,11 @@ class TestVerbs:
     def test_json_matches_text_values(self, capsys):
         code, res = run_json(capsys, ["table", "2 5 7 8", "--nmax", "8"])
         assert code == 0
-        from diffprod import euler_sum
+        from diffprod import euler_sums
 
-        ns = nodeset_new([2, 5, 7, 8])
+        sums = euler_sums(nodeset_new([2, 5, 7, 8]), 8)
         for row in res["rows"]:
-            assert F(row["sum"]) == euler_sum(ns, row["n"])
+            assert F(row["sum"]) == sums[row["n"]]
 
     def test_text_mode_runs(self, capsys):
         assert cli.run(["weights", "2 5 7 8"]) == 0
@@ -422,22 +422,47 @@ class TestVerifierIndependence:
         assert code == 1
         assert check in {c["name"] for c in res["checks"] if not c["ok"]}
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda W: [W[0] + 1, *W[1:]],  # no longer divisible by each z - b_i
-        lambda W: [2 * c for c in W],  # still divisible, but not monic
-    ])
-    def test_wrong_node_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
-        true_node_polynomial = partfrac._node_polynomial
+    @staticmethod
+    def corrupt_node_polynomial(monkeypatch, module, corrupt):
+        """Make `module`'s own binding of node_polynomial return corrupt(W)."""
+        true_node_polynomial = module.node_polynomial
 
         def wrong(values):
             L, b, W = true_node_polynomial(values)
             return L, b, corrupt(W)
 
-        monkeypatch.setattr(partfrac, "_node_polynomial", wrong)
+        monkeypatch.setattr(module, "node_polynomial", wrong)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda W: [W[0] + 1, *W[1:]],  # no longer divisible by each z - b_i
+        lambda W: [2 * c for c in W],  # still divisible, but not monic
+    ])
+    def test_wrong_node_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
+        self.corrupt_node_polynomial(monkeypatch, partfrac, corrupt)
         self.verify_fails(capsys, "decompositions reconstruct exactly")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda W: [W[0], W[1] + 1, *W[2:]],  # w' gains a constant term
+        lambda W: [2 * c for c in W],  # w' doubles
+    ])
+    def test_wrong_derivative_route_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
+        # The derivative route builds its own node polynomial, and no other
+        # route reads it, so only that route's check fails.
+        self.corrupt_node_polynomial(monkeypatch, nodes, corrupt)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "difference products match derivative route"}
+
+    def test_constant_term_does_not_reach_derivative_route(self, capsys, monkeypatch):
+        # W[0] does not enter w', so changing it must not fail verify.
+        self.corrupt_node_polynomial(monkeypatch, nodes, lambda W: [W[0] + 1, *W[1:]])
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 0
+        assert all(c["ok"] for c in res["checks"])
+
     def test_wrong_cofactor_fails_verify(self, capsys, monkeypatch):
-        true_divide = partfrac._divide_linear
+        true_divide = partfrac.divide_linear
         calls = []
 
         def wrong(coeffs, b):
@@ -447,7 +472,7 @@ class TestVerifierIndependence:
                 quot = [quot[0] + 1, *quot[1:]]
             return quot, rem
 
-        monkeypatch.setattr(partfrac, "_divide_linear", wrong)
+        monkeypatch.setattr(partfrac, "divide_linear", wrong)
         self.verify_fails(capsys, "decompositions reconstruct exactly")
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):

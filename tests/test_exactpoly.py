@@ -1,120 +1,169 @@
 from fractions import Fraction as F
+from math import prod
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffprod import (
-    poly_add,
-    poly_derivative,
-    poly_divide_linear,
-    poly_eval,
-    poly_from_roots,
-    poly_mul,
-)
-from .strategies import rationals
+from diffprod import nodeset_new
+from diffprod.exactpoly import derivative, divide_linear, evaluate, node_polynomial
+from .strategies import EDGE_SETS, node_sets, poly_from_roots
 
 # z^4 - 22 z^3 + 171 z^2 - 542 z + 560, ascending.
 # Expected coefficients derived by expanding (z-2)(z-5)(z-7)(z-8) pairwise:
 # (z^2 - 7z + 10)(z^2 - 15z + 56).
-QUARTIC = [F(560), F(-542), F(171), F(-22), F(1)]
+QUARTIC = [560, -542, 171, -22, 1]
 
-polys = st.lists(rationals, max_size=6)
+ints = st.integers(min_value=-50, max_value=50)
+polys = st.lists(ints, max_size=6)
+integer_roots = st.lists(ints.map(F), max_size=5)
+edge_sets = pytest.mark.parametrize(
+    "ns", [nodeset_new(v) for v in EDGE_SETS.values()], ids=EDGE_SETS)
 
 
-def _norm(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _mul(p, q):
+    """Integer polynomial product, kept here as a reference."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, c in enumerate(q):
+            out[i + j] += a * c
+    return out
+
+
+def _add(p, q):
+    """Coefficient-wise sum of two integer lists, the shorter padded with 0."""
+    n = max(len(p), len(q))
+    return [a + c for a, c in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
 
 
 class TestFromRoots:
     def test_empty_product_is_one(self):
-        assert poly_from_roots([]) == [F(1)]
+        assert node_polynomial([]) == (1, [], [1])
 
     def test_four_integer_roots(self):
-        assert poly_from_roots([2, 5, 7, 8]) == QUARTIC
+        values = nodeset_new([2, 5, 7, 8]).values
+        assert node_polynomial(values) == (1, [2, 5, 7, 8], QUARTIC)
+
+    def test_rational_roots_are_scaled(self):
+        # L = 6, b = (-4, 3): (z + 4)(z - 3)
+        assert node_polynomial([F(-2, 3), F(1, 2)]) == (6, [-4, 3], [-12, 1, 1])
 
     def test_repeated_root_at_origin(self):
-        assert poly_from_roots([0, 0]) == [F(0), F(0), F(1)]
+        assert node_polynomial([F(0), F(0)]) == (1, [0, 0], [0, 0, 1])
 
-    @given(st.lists(rationals, max_size=8))
-    def test_roots_evaluate_to_zero(self, roots):
-        p = poly_from_roots(roots)
-        for r in roots:
-            assert poly_eval(p, r) == 0
+    @given(node_sets)
+    def test_roots_evaluate_to_zero(self, ns):
+        L, b, W = node_polynomial(ns.values)
+        for bi in b:
+            assert evaluate(W, bi) == 0
+
+    @staticmethod
+    def check_scaled_poly_from_roots(ns):
+        # W(z) = L^m w(z/L), so [z^k] W = L^(m-k) [x^k] w.
+        L, b, W = node_polynomial(ns.values)
+        assert all(type(c) is int for c in (L, *b, *W))
+        assert [F(bi, L) for bi in b] == list(ns.values)
+        w = poly_from_roots(ns.values)
+        assert W == [L ** (ns.m - k) * c for k, c in enumerate(w)]
+
+    @given(node_sets)
+    def test_node_polynomial_is_scaled_poly_from_roots(self, ns):
+        self.check_scaled_poly_from_roots(ns)
+
+    @edge_sets
+    def test_edge_sets_are_scaled_poly_from_roots(self, ns):
+        self.check_scaled_poly_from_roots(ns)
 
 
 class TestDerivative:
     def test_constant(self):
-        assert poly_derivative([F(1)]) == []
+        assert derivative([1]) == []
 
     def test_quartic(self):
-        assert poly_derivative(QUARTIC) == [F(-542), F(342), F(-66), F(4)]
+        assert derivative(QUARTIC) == [-542, 342, -66, 4]
 
     def test_square(self):
-        assert poly_derivative([F(0), F(0), F(1)]) == [F(0), F(2)]
+        assert derivative([0, 0, 1]) == [0, 2]
 
     @given(polys, polys)
     def test_linearity(self, p, q):
-        p, q = _norm(p), _norm(q)
-        assert poly_derivative(poly_add(p, q)) == poly_add(
-            poly_derivative(p), poly_derivative(q)
-        )
+        assert derivative(_add(p, q)) == _add(derivative(p), derivative(q))
+
+    @staticmethod
+    def check_difference_products(ns):
+        L, b, W = node_polynomial(ns.values)
+        w1 = derivative(W)
+        for i, bi in enumerate(b):
+            assert evaluate(w1, bi) == prod(bi - bj for j, bj in enumerate(b) if j != i)
+
+    @given(node_sets)
+    def test_derivative_at_roots_is_difference_product(self, ns):
+        self.check_difference_products(ns)
+
+    @edge_sets
+    def test_edge_sets_derivative_at_roots(self, ns):
+        self.check_difference_products(ns)
 
 
 class TestEval:
     def test_root_of_quartic(self):
-        assert poly_eval(QUARTIC, 2) == 0
+        assert evaluate(QUARTIC, 2) == 0
 
     def test_derivative_at_two(self):
-        assert poly_eval([F(-542), F(342), F(-66), F(4)], 2) == -90
+        assert evaluate([-542, 342, -66, 4], 2) == -90
 
     def test_zero_polynomial(self):
-        assert poly_eval([], F(7, 3)) == 0
+        assert evaluate([], 7) == 0
+
+    @given(polys, ints)
+    def test_matches_power_sum(self, p, x):
+        assert evaluate(p, x) == sum(c * x**k for k, c in enumerate(p))
 
 
 class TestDivideLinear:
     def test_factor_quadratic(self):
-        q, r = poly_divide_linear([F(2), F(-3), F(1)], 1)
-        assert q == [F(-2), F(1)]
-        assert r == 0
+        assert divide_linear([2, -3, 1], 1) == ([-2, 1], 0)
 
     def test_quartic_by_root(self):
-        q, r = poly_divide_linear(QUARTIC, 2)
-        assert q == [F(-280), F(131), F(-20), F(1)]
-        assert r == 0
+        assert divide_linear(QUARTIC, 2) == ([-280, 131, -20, 1], 0)
 
     def test_nonzero_remainder(self):
-        q, r = poly_divide_linear([F(0), F(0), F(1)], 1)
-        assert q == [F(1), F(1)]
-        assert r == 1
+        assert divide_linear([0, 0, 1], 1) == ([1, 1], 1)
 
-    @given(polys, rationals)
-    def test_recomposition(self, p, a):
-        p = _norm(p)
-        q, r = poly_divide_linear(p, a)
-        recomposed = poly_add(poly_mul(q, [-F(a), F(1)]), [r])
-        assert recomposed == p
-        assert r == poly_eval(p, a)
+    @given(polys.filter(len), ints)
+    def test_recomposition(self, p, b):
+        q, r = divide_linear(p, b)
+        assert _add(_mul(q, [-b, 1]), [r]) == p
+        assert r == evaluate(p, b)
+
+    @staticmethod
+    def check_cofactors(ns):
+        # W / (z - b_i) = prod_{j != i}(z - b_j), remainder W(b_i) = 0.
+        L, b, W = node_polynomial(ns.values)
+        for i, bi in enumerate(b):
+            q, r = divide_linear(W, bi)
+            assert _add(_mul(q, [-bi, 1]), [r]) == W
+            assert r == evaluate(W, bi) == 0
+            assert q == poly_from_roots(b[:i] + b[i + 1:])
+
+    @given(node_sets)
+    def test_cofactors_of_node_polynomial(self, ns):
+        self.check_cofactors(ns)
+
+    @edge_sets
+    def test_edge_sets_cofactors(self, ns):
+        self.check_cofactors(ns)
 
 
 class TestRingOps:
     def test_product_of_linears(self):
-        assert poly_mul([F(-1), F(1)], [F(-2), F(1)]) == [F(2), F(-3), F(1)]
+        assert node_polynomial([F(1), F(2)])[2] == [2, -3, 1]
 
     def test_difference_of_squares(self):
-        assert poly_mul([F(1), F(1)], [F(-1), F(1)]) == [F(-1), F(0), F(1)]
+        assert node_polynomial([F(-1), F(1)])[2] == [-1, 0, 1]
 
-    @given(polys)
-    def test_additive_identity(self, p):
-        p = _norm(p)
-        assert poly_add(p, []) == p
-
-    @given(polys, polys)
-    def test_degree_of_product(self, p, q):
-        p, q = _norm(p), _norm(q)
-        if p and q:
-            assert len(poly_mul(p, q)) == len(p) + len(q) - 1
-        else:
-            assert poly_mul(p, q) == []
+    @given(integer_roots, integer_roots)
+    def test_degree_of_product(self, u, v):
+        W = node_polynomial(u + v)[2]
+        assert W == _mul(node_polynomial(u)[2], node_polynomial(v)[2])
+        assert len(W) == len(u) + len(v) + 1

@@ -13,10 +13,9 @@ from diffprod import (
     homogeneous_via_power_sums,
     newton_power_from_elementary,
     nodeset_new,
-    poly_from_roots,
     power_sums,
 )
-from .strategies import EDGE_SETS, node_sets, rationals
+from .strategies import EDGE_SETS, node_sets, poly_from_roots, rationals
 
 ONE_TWO_THREE = nodeset_new([1, 2, 3])
 
