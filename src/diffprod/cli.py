@@ -235,13 +235,15 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     recurrence, h by brute force (None where it was skipped), and whether
     Newton's identities give back the direct power sums.
     """
-    # Both e-routes read the full e-list: the one `symmetric` prints stops at
-    # e_kmax, which may be short of e_1.
+    # Each route picks its own scale: the e-route and Newton read
+    # e_1..e_min(kmax, m) off ns.elementary, so off ns.scaled, while the
+    # power sums, the power-sum route and the brute-force oracle read only
+    # the node values.  So a wrong ns.scaled shows up as a disagreement.
     p = power_sums(ns, max(kmax, 1))
-    h_e = homogeneous_via_elementary(ns.elementary, kmax)
-    h_p = homogeneous_via_power_sums(p, kmax)
+    h_e = homogeneous_via_elementary(ns, kmax)
+    h_p = homogeneous_via_power_sums(ns, kmax)
     h_bf = [_brute_force_or_none(ns, k) for k in range(kmax + 1)]
-    newton = newton_power_from_elementary(ns.elementary, max(kmax, 1))
+    newton = newton_power_from_elementary(ns, max(kmax, 1))
     return p, h_e, h_p, h_bf, newton == p
 
 

@@ -161,9 +161,7 @@ def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     m = ns.m
     if nmax <= m - 2:
         return [Fraction(0)] * (nmax + 1)
-    return [Fraction(0)] * (m - 1) + homogeneous_via_elementary(
-        ns.elementary, nmax - m + 1
-    )
+    return [Fraction(0)] * (m - 1) + homogeneous_via_elementary(ns, nmax - m + 1)
 
 
 def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:

@@ -48,7 +48,7 @@ def decompositions(poles: NodeSet, nmax: int) -> list[PartialFractionDecompositi
     if nmax < 0:
         raise NegativeExponent(nmax)
     m = poles.m
-    h = homogeneous_via_elementary(poles.elementary, nmax - m) if nmax >= m else []
+    h = homogeneous_via_elementary(poles, nmax - m) if nmax >= m else []
     residues = [1 / A for A in poles.products]
     out = []
     for n in range(nmax + 1):

@@ -5,19 +5,27 @@ e[k] is the sum of all k-fold products of distinct nodes and h[k] the sum
 of all degree-k monomials with repetition.  Power-sum lists hold
 [p_1, ..., p_kmax] (there is no useful p_0 here).
 
-The e-list is read off the integer form ns.scaled of the node set.  Two
-independent recurrences compute h, and a direct multiset enumeration
-serves as an oracle against both.  The oracle enumerates on integers too,
-but scales the nodes itself: with L the lcm of their denominators, it sums
-the products of the integers a_i*L over every multiset, split into a low
-and a high half of the nodes, and divides by L^k once.
+Every function takes the node set and runs on integers, building one
+Fraction per returned value.  Each route reads its own scale:
+- the e-list is read off the integer form ns.scaled = (L, b); the
+  e-recurrence for h and Newton's identities run on E_j = L^j e_j, the
+  integers behind that e-list, and give H_k = L^k h_k and P_k = L^k p_k;
+- power_sums and the power-sum recurrence for h read only ns.values and
+  scale them with their own lcm, never ns.scaled or ns.elementary;
+- the brute-force oracle scales the nodes itself as well: with L the lcm
+  of their denominators, it sums the products of the integers a_i*L over
+  every multiset, split into a low and a high half of the nodes, and
+  divides by L^k once.
+So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
+power sums disagree with the direct ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import lcm, prod
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -39,38 +47,78 @@ def elementary_all(ns: "NodeSet", kmax: int) -> list[Fraction]:
             for k in range(kmax + 1)]
 
 
+def _scaled_elementary(ns: "NodeSet", kmax: int) -> tuple:
+    """(L, [E_1, -E_2, E_3, ...]) for j up to min(kmax, m): L from
+    ns.scaled and E_j = L^j e_j, the integers behind the cached e-list.
+
+    The signs (-1)^(j-1) are the ones both recurrences on e apply.  Only
+    the entries a recurrence of depth kmax reads are converted.
+    """
+    L = ns.scaled[0]
+    signed, Lj = [], 1
+    for j, ej in enumerate(ns.elementary[1 : kmax + 1], start=1):
+        Lj *= L
+        Ej = ej.numerator * (Lj // ej.denominator)
+        signed.append(Ej if j % 2 else -Ej)
+    return L, signed
+
+
+def _scaled_power_sums(values: Sequence, kmax: int) -> tuple:
+    """(L, [P_1, ..., P_kmax]): L the lcm of the denominators of `values`
+    and P_k the sum of the k-th powers of the integers c_i = a_i*L, so
+    that p_k = P_k / L^k."""
+    L = lcm(*(a.denominator for a in values))
+    c = [a.numerator * (L // a.denominator) for a in values]
+    P, powers = [], c
+    for _ in range(kmax):
+        P.append(sum(powers))
+        powers = list(map(mul, powers, c))
+    return L, P
+
+
+def _unscale(L: int, scaled: Sequence, first: int) -> list[Fraction]:
+    """[scaled[i] / L^(first + i)], one Fraction per value."""
+    Lpow = accumulate(repeat(L, len(scaled)), mul, initial=L**first)
+    return [Fraction(v, Lk) for v, Lk in zip(scaled, Lpow)]
+
+
 def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """[p_1, ..., p_kmax] with p_k the sum of k-th powers of the nodes."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return [sum((a**k for a in ns.values), Fraction(0)) for k in range(1, kmax + 1)]
+    L, P = _scaled_power_sums(ns.values, kmax)
+    return _unscale(L, P, 1)
 
 
-def homogeneous_via_elementary(e: Sequence, kmax: int) -> list[Fraction]:
+def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """h[0..kmax] from the alternating recurrence on elementary values.
 
-    h_k = e_1 h_{k-1} - e_2 h_{k-2} + e_3 h_{k-3} - ...
-    Entries of e beyond the end of the list are treated as zero.
+    h_k = e_1 h_{k-1} - e_2 h_{k-2} + e_3 h_{k-3} - ..., with e_j = 0 for
+    j > m, run on H_k = L^k h_k and E_j = L^j e_j:
+    H_k = sum_j (-1)^(j-1) E_j H_{k-j}.
     """
-    h = [Fraction(1)]
-    for k in range(1, kmax + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(e) - 1) + 1):
-            acc += (-1) ** (j - 1) * e[j] * h[k - j]
-        h.append(acc)
-    return h
+    L, signed = _scaled_elementary(ns, kmax)
+    H = [1]
+    for _ in range(kmax):
+        H.append(sum(map(mul, signed, reversed(H))))
+    return _unscale(L, H, 0)
 
 
-def homogeneous_via_power_sums(p: Sequence, kmax: int) -> list[Fraction]:
+def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """h[0..kmax] from power sums: h_k = (1/k) * sum_j p_j h_{k-j}.
 
-    `p` holds [p_1, ..., p_kmax] as produced by power_sums.
+    Run on H_k = L^k h_k and P_j = L^j p_j, L the power sums' own lcm:
+    k H_k = sum_j P_j H_{k-j}.  For true power sums k divides the sum; a
+    sum that k does not divide is kept as a Fraction, so wrong power sums
+    give a wrong h, never a rounded one.
     """
-    h = [Fraction(1)]
+    L, P = _scaled_power_sums(ns.values, kmax)
+    H = [1]
     for k in range(1, kmax + 1):
-        acc = sum((p[j - 1] * h[k - j] for j in range(1, k + 1)), Fraction(0))
-        h.append(acc / k)
-    return h
+        total = sum(map(mul, P, reversed(H)))
+        q, r = divmod(total, k)
+        H.append(q if r == 0 else Fraction(total, k))
+    return _unscale(L, H, 0)
 
 
 def homogeneous_brute_force(ns: "NodeSet", k: int) -> Fraction:
@@ -101,16 +149,19 @@ def homogeneous_brute_force(ns: "NodeSet", k: int) -> Fraction:
     return Fraction(total, scale**k)
 
 
-def newton_power_from_elementary(e: Sequence, kmax: int) -> list[Fraction]:
-    """[p_1, ..., p_kmax] recovered from elementary values by Newton's identities."""
+def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
+    """[p_1, ..., p_kmax] recovered from elementary values by Newton's identities.
+
+    p_k = sum_{j<k} (-1)^(j-1) e_j p_{k-j} + (-1)^(k-1) k e_k, run on
+    P_k = L^k p_k and E_j = L^j e_j like the e-recurrence for h.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    p: list[Fraction] = []
+    L, signed = _scaled_elementary(ns, kmax)
+    P: list[int] = []
     for k in range(1, kmax + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k - 1, len(e) - 1) + 1):
-            acc += (-1) ** (j - 1) * e[j] * p[k - j - 1]
-        ek = e[k] if k < len(e) else Fraction(0)
-        acc += (-1) ** (k - 1) * k * ek
-        p.append(acc)
-    return p
+        total = sum(map(mul, signed, reversed(P)))
+        if k <= len(signed):
+            total += k * signed[k - 1]
+        P.append(total)
+    return _unscale(L, P, 1)

@@ -87,12 +87,12 @@ def test_criterion_5_symmetric_agreement(random_sets):
     for ns in random_sets:
         e = elementary_all(ns, max(ns.m, 8))
         p = power_sums(ns, 8)
-        h_e = homogeneous_via_elementary(e, 8)
-        h_p = homogeneous_via_power_sums(p, 8)
+        h_e = homogeneous_via_elementary(ns, 8)
+        h_p = homogeneous_via_power_sums(ns, 8)
         assert h_e == h_p
         for k in range(9):
             assert h_e[k] == homogeneous_brute_force(ns, k)
-        assert newton_power_from_elementary(e, 8) == p
+        assert newton_power_from_elementary(ns, 8) == p
         P, Q, R, S, T = e[1], e[2], e[3], e[4], e[5]
         assert h_e[2] == P**2 - Q
         assert h_e[3] == P**3 - 2 * P * Q + R

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from diffprod import cli, nodes, nodeset_new, partfrac
+from diffprod import cli, nodes, nodeset_new, partfrac, symmetric
 from diffprod.cli import LimitExceeded, ParseError, fmt, fmt_poly, parse_nodes
 
 from .test_golden import load, run_cli
@@ -416,11 +416,20 @@ class TestVerifierIndependence:
         failed = {c["name"] for c in res["checks"] if not c["ok"]}
         assert "difference products match derivative route" in failed
 
+    @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
+    def test_wrong_scaled_form_fails_e_routes(self, corrupt, capsys, monkeypatch):
+        # The e-route and Newton read ns.scaled through the e-list; the power
+        # sums and the power-sum route read only the node values.
+        true_scaled = nodes.NodeSet.scaled.func
+        monkeypatch.setattr(nodes.NodeSet, "scaled",
+                            property(lambda ns: corrupt(*true_scaled(ns))))
+        self.verify_fails(capsys, "homogeneous recurrences agree", "newton round trip")
+
     @staticmethod
-    def verify_fails(capsys, check):
+    def verify_fails(capsys, *checks):
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
-        assert check in {c["name"] for c in res["checks"] if not c["ok"]}
+        assert set(checks) <= {c["name"] for c in res["checks"] if not c["ok"]}
 
     @staticmethod
     def corrupt_node_polynomial(monkeypatch, module, corrupt):
@@ -478,12 +487,46 @@ class TestVerifierIndependence:
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
         true_ladder = partfrac.homogeneous_via_elementary
 
-        def wrong(e, kmax):
-            h = true_ladder(e, kmax)
+        def wrong(ns, kmax):
+            h = true_ladder(ns, kmax)
             return h[:-1] + [h[-1] + 1]
 
         monkeypatch.setattr(partfrac, "homogeneous_via_elementary", wrong)
         self.verify_fails(capsys, "decompositions reconstruct exactly")
+
+    @staticmethod
+    def corrupt_scaled(monkeypatch, name, corrupt):
+        """Make symmetric's integer helper `name` return (L, corrupt(list))."""
+        true_helper = getattr(symmetric, name)
+
+        def wrong(*args):
+            L, scaled = true_helper(*args)
+            return L, corrupt(scaled)
+
+        monkeypatch.setattr(symmetric, name, wrong)
+
+    def test_wrong_integer_e_list_fails_verify(self, capsys, monkeypatch):
+        # The e-route and Newton read the same integers E_j = L^j e_j; the
+        # power sums and the power-sum route never do.
+        self.corrupt_scaled(monkeypatch, "_scaled_elementary",
+                            lambda E: [*E[:-1], E[-1] + 1])
+        self.verify_fails(capsys, "homogeneous recurrences agree", "newton round trip")
+
+    def test_wrong_scaled_power_sums_fail_verify(self, capsys, monkeypatch):
+        self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
+                            lambda P: [*P[:-1], P[-1] + 1])
+        self.verify_fails(capsys, "homogeneous recurrences agree")
+
+    def test_indivisible_power_sum_is_not_floored(self, capsys, monkeypatch):
+        # On 1 2 3, P_2 = 14 -> 15 makes 2 H_2 = 6*6 + 15 = 51: floor division
+        # would give back the true h_2 = 25 and a false "yes".
+        self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
+                            lambda P: [P[0], P[1] + 1, *P[2:]])
+        cli.run(["symmetric", "1 2 3", "--kmax", "2"])
+        out = capsys.readouterr().out
+        assert "h (elementary recurrence): 1 6 25\n" in out
+        assert "h (power-sum recurrence):  1 6 51/2\n" in out
+        assert "h paths agree: NO\n" in out
 
 
 # --- the CLI contract over arbitrary input -------------------------------

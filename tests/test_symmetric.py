@@ -15,7 +15,17 @@ from diffprod import (
     nodeset_new,
     power_sums,
 )
-from .strategies import EDGE_SETS, node_sets, poly_from_roots, rationals
+from .strategies import (
+    EDGE_SETS,
+    node_sets,
+    poly_from_roots,
+    rationals,
+    reference_elementary,
+    reference_homogeneous_via_elementary,
+    reference_homogeneous_via_power_sums,
+    reference_newton,
+    reference_power_sums,
+)
 
 ONE_TWO_THREE = nodeset_new([1, 2, 3])
 
@@ -67,33 +77,27 @@ class TestPowerSums:
 
 class TestHomogeneousRecurrences:
     def test_h2_via_elementary(self):
-        e = elementary_all(ONE_TWO_THREE, 3)
-        h = homogeneous_via_elementary(e, 2)
+        h = homogeneous_via_elementary(ONE_TWO_THREE, 2)
         assert h[2] == 36 - 11 == 25
 
     def test_h0_is_one(self):
-        assert homogeneous_via_elementary([F(1), F(17)], 0) == [F(1)]
-        assert homogeneous_via_power_sums([F(17)], 0) == [F(1)]
+        assert homogeneous_via_elementary(nodeset_new([17]), 0) == [F(1)]
+        assert homogeneous_via_power_sums(nodeset_new([17]), 0) == [F(1)]
 
     def test_h3_via_elementary(self):
-        e = elementary_all(ONE_TWO_THREE, 3)
-        h = homogeneous_via_elementary(e, 3)
+        h = homogeneous_via_elementary(ONE_TWO_THREE, 3)
         assert h[3] == 216 - 132 + 6 == 90
 
     def test_h1_via_power_sums(self):
-        p = power_sums(ONE_TWO_THREE, 1)
-        assert homogeneous_via_power_sums(p, 1)[1] == 6
+        assert homogeneous_via_power_sums(ONE_TWO_THREE, 1)[1] == 6
 
     def test_h2_via_power_sums(self):
-        p = power_sums(ONE_TWO_THREE, 2)
-        assert homogeneous_via_power_sums(p, 2)[2] == F(1, 2) * (6 * 6 + 14)
+        assert homogeneous_via_power_sums(ONE_TWO_THREE, 2)[2] == F(1, 2) * (6 * 6 + 14)
 
     @given(node_sets, st.integers(min_value=0, max_value=8))
     def test_triple_agreement(self, ns, kmax):
-        e = elementary_all(ns, ns.m)
-        p = power_sums(ns, max(kmax, 1))
-        h_e = homogeneous_via_elementary(e, kmax)
-        h_p = homogeneous_via_power_sums(p, kmax)
+        h_e = homogeneous_via_elementary(ns, kmax)
+        h_p = homogeneous_via_power_sums(ns, kmax)
         assert h_e == h_p
         for k in range(kmax + 1):
             assert h_e[k] == homogeneous_brute_force(ns, k)
@@ -102,7 +106,7 @@ class TestHomogeneousRecurrences:
     def test_closed_form_expansions(self, ns):
         e = elementary_all(ns, 5)
         P, Q, R, S, T = e[1], e[2], e[3], e[4], e[5]
-        h = homogeneous_via_elementary(e, 5)
+        h = homogeneous_via_elementary(ns, 5)
         assert h[2] == P**2 - Q
         assert h[3] == P**3 - 2 * P * Q + R
         assert h[4] == P**4 - 3 * P**2 * Q + 2 * P * R + Q**2 - S
@@ -177,21 +181,52 @@ class TestBruteForce:
 
 class TestNewton:
     def test_p1_equals_e1(self):
-        e = elementary_all(ONE_TWO_THREE, 3)
-        assert newton_power_from_elementary(e, 1) == [6]
+        assert newton_power_from_elementary(ONE_TWO_THREE, 1) == [6]
 
     def test_p2(self):
-        e = elementary_all(ONE_TWO_THREE, 3)
-        assert newton_power_from_elementary(e, 2)[1] == 36 - 22 == 14
+        assert newton_power_from_elementary(ONE_TWO_THREE, 2)[1] == 36 - 22 == 14
 
     def test_p2_four_nodes(self):
-        e = elementary_all(nodeset_new([2, 5, 7, 8]), 4)
-        assert newton_power_from_elementary(e, 2)[1] == 22 * 22 - 2 * 171 == 142
+        ns = nodeset_new([2, 5, 7, 8])
+        assert elementary_all(ns, 2) == [1, 22, 171]
+        assert newton_power_from_elementary(ns, 2)[1] == 22 * 22 - 2 * 171 == 142
 
     @given(node_sets, st.integers(min_value=1, max_value=8))
     def test_round_trip(self, ns, kmax):
-        e = elementary_all(ns, ns.m)
-        assert newton_power_from_elementary(e, kmax) == power_sums(ns, kmax)
+        assert newton_power_from_elementary(ns, kmax) == power_sums(ns, kmax)
+
+
+class TestFractionReference:
+    """The integer recurrences give, value for value, what the same
+    recurrences give over Fractions (tests/strategies.py)."""
+
+    @staticmethod
+    def check(ns, kmax):
+        e = reference_elementary(ns.values)
+        p = reference_power_sums(ns.values, max(kmax, 1))
+        pairs = [
+            (power_sums(ns, max(kmax, 1)), p),
+            (homogeneous_via_elementary(ns, kmax),
+             reference_homogeneous_via_elementary(e, kmax)),
+            (homogeneous_via_power_sums(ns, kmax),
+             reference_homogeneous_via_power_sums(p, kmax)),
+            (newton_power_from_elementary(ns, max(kmax, 1)),
+             reference_newton(e, max(kmax, 1))),
+        ]
+        for got, want in pairs:
+            assert all(type(v) is F for v in got)
+            assert [(v.numerator, v.denominator) for v in got] == [
+                (v.numerator, v.denominator) for v in want]
+
+    @given(node_sets, st.data())
+    def test_generated_sets(self, ns, data):
+        self.check(ns, data.draw(st.integers(min_value=0, max_value=ns.m + 4)))
+
+    @pytest.mark.parametrize("values", EDGE_SETS.values(), ids=EDGE_SETS)
+    def test_edge_sets(self, values):
+        ns = nodeset_new(values)
+        for kmax in range(ns.m + 5):
+            self.check(ns, kmax)
 
 
 @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1,
