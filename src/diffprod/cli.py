@@ -222,10 +222,14 @@ def _print_decompose(res: dict) -> None:
     print(f"reconstruction check: {'ok' if dec['reconstructed'] else 'FAILED'}")
 
 
-def _brute_force_or_none(ns: NodeSet, k: int):
-    if comb(ns.m + k - 1, k) > _BRUTE_FORCE_LIMIT:
-        return None
-    return homogeneous_brute_force(ns, k)
+def _brute_force_or_none(ns: NodeSet, kmax: int) -> list:
+    """h[0..kmax] by brute force up to the largest k whose multiset count
+    C(m+k-1, k) is within _BRUTE_FORCE_LIMIT, then None.  The count never
+    decreases as k grows, so these are exactly the k under the cap."""
+    top = 0
+    while top < kmax and comb(ns.m + top, top + 1) <= _BRUTE_FORCE_LIMIT:
+        top += 1
+    return homogeneous_brute_force(ns, top) + [None] * (kmax - top)
 
 
 def _homogeneous_checks(ns: NodeSet, kmax: int):
@@ -242,7 +246,7 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     p = power_sums(ns, max(kmax, 1))
     h_e = homogeneous_via_elementary(ns, kmax)
     h_p = homogeneous_via_power_sums(ns, kmax)
-    h_bf = [_brute_force_or_none(ns, k) for k in range(kmax + 1)]
+    h_bf = _brute_force_or_none(ns, kmax)
     newton = newton_power_from_elementary(ns, max(kmax, 1))
     return p, h_e, h_p, h_bf, newton == p
 
@@ -332,8 +336,9 @@ def _print_verify(res: dict) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process and shared by every
     `run` call, so an in-process call pays only for its verb.  Callers must
-    not mutate it.  Each verb's runner and printer are bound when it is
-    built; help width is read when help is printed, not here."""
+    not mutate it.  Each verb's runner, printer and `holds` test (False
+    exits 1: a check the verb reports failed) are bound when it is built;
+    help width is read when help is printed, not here."""
     parser = argparse.ArgumentParser(
         prog="diffprod",
         description="Exact difference-product sums, their closed forms, "
@@ -341,24 +346,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, help_text, runner, printer, option, option_help, **option_kw):
+    def add(verb, help_text, runner, printer, holds, option, option_help, **option_kw):
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("nodes", help="node list, e.g. \"3 8 12 15 17 18\" or @file")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument(option, type=int, dest="exponent", metavar=option[2:].upper(),
                         help=option_help, **option_kw)
-        sp.set_defaults(runner=runner, printer=printer)
+        sp.set_defaults(runner=runner, printer=printer, holds=holds)
 
     add("weights", "difference products and the alternating-sign display",
-        _run_weights, _print_weights, "--n", "power in the numerators", default=0)
+        _run_weights, _print_weights, lambda res: True,
+        "--n", "power in the numerators", default=0)
     add("table", "tabulate the sums against their closed forms",
-        _run_table, _print_table, "--nmax", "largest power (default m+4)")
+        _run_table, _print_table, lambda res: all(r["match"] for r in res["rows"]),
+        "--nmax", "largest power (default m+4)")
     add("decompose", "partial fraction decomposition of x^n over the nodes",
-        _run_decompose, _print_decompose, "--n", "numerator power", required=True)
+        _run_decompose, _print_decompose, lambda res: res["decomposition"]["reconstructed"],
+        "--n", "numerator power", required=True)
     add("symmetric", "elementary, power-sum, and homogeneous tables",
-        _run_symmetric, _print_symmetric, "--kmax", "table depth (default m+4)")
+        _run_symmetric, _print_symmetric, lambda res: all(res["agreement"].values()),
+        "--kmax", "table depth (default m+4)")
     add("verify", "run every identity check; exit 0 iff all hold",
-        _run_verify, _print_verify, "--nmax", "largest power (default m+4)")
+        _run_verify, _print_verify, lambda res: res["all_identities_hold"],
+        "--nmax", "largest power (default m+4)")
     return parser
 
 
@@ -407,7 +417,7 @@ def run(argv) -> int:
 
     with _int_str_unlimited():
         result = args.runner(ns, exponent)
-        code = 0 if result.get("all_identities_hold", True) else 1
+        code = 0 if args.holds(result) else 1
         try:
             if args.format == "json":
                 print(render_json(result))

@@ -3,14 +3,13 @@
 A polynomial is a list of ints in ascending order of degree.  The node
 polynomial w(x) = prod(x - a_i) of rational nodes is put on integers by L,
 the lcm of their denominators: with b_i = a_i*L,
-W(z) = prod(z - b_i) = L^m w(z/L).  Its derivative, its values (Horner) and
-its quotients by z - b_i (synthetic division) are then integer operations.
-All functions are pure and return fresh lists.
+W(z) = prod(z - b_i) = L^m w(z/L).  Its derivative and its values (Horner)
+are then integer operations.  All functions are pure and return fresh
+lists.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import lcm
 from operator import add
 
@@ -37,13 +36,3 @@ def evaluate(coeffs: list[int], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def divide_linear(coeffs: list[int], b: int) -> tuple[list[int], int]:
-    """Synthetic division of nonempty coeffs by (z - b): (quotient, remainder).
-
-    The remainder is the value at b, so coeffs == (z - b) * quotient + remainder.
-    """
-    quot = list(accumulate(reversed(coeffs), lambda acc, c: acc * b + c))
-    rem = quot.pop()
-    return quot[::-1], rem

@@ -6,11 +6,11 @@ values rather than by long division, so its coefficients are
 h_0 (leading) down to h_{n-m} (constant).  `decompositions` slices the
 parts for every n up to nmax from one ladder.
 
-`reconstruct` checks the identity coefficient by coefficient on integers
-of its own, reading nothing the decomposition was built from: with L the
-lcm of the pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i)
-and its cofactors W_i = W / (z - b_i) once per call (`exactpoly`),
-substitutes x = z/L and clears each decomposition's denominators with one D.
+`reconstruct` proves the identity by interpolation on integers of its own,
+reading nothing the decomposition was built from: with L the lcm of the
+pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
+W'(b_i) once per call (`exactpoly`).  Each decomposition must then give
+a_j^n at every pole and agree with x^n in every coefficient of degree >= m.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import add, mul
 
-from .exactpoly import divide_linear, node_polynomial
+from .exactpoly import derivative, evaluate, node_polynomial
 from .nodes import NegativeExponent, NodeSet, nodeset_new
 from .symmetric import homogeneous_via_elementary
 
@@ -72,12 +72,14 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     """Check x^n == part * prod(x - a_i) + sum residues[i] * prod_{j != i}(x - a_j)
     for each given decomposition; all must be over the same poles.
 
-    With x = z/L and s the largest power of 1/L in the identity, it is
-    multiplied by D L^s, D the lcm of the decomposition's denominators, and
-    compared as integer polynomials in z:
-        D L^(s-n) z^n == sum_k D c_k L^(s-m-k) z^k W(z) + sum_i D r_i L^(s-m+1) W_i(z).
-    A False return means some decomposition is internally inconsistent, or
-    that some pole does not divide the node polynomial exactly.
+    The difference of the two sides is zero exactly when (i) it vanishes at
+    every pole, r_j w'(a_j) = a_j^n, and (ii) it has degree < m, so that
+    part * w agrees with x^n in every coefficient of degree >= m: a
+    polynomial of degree < m with m roots is zero.  With x = z/L, both are
+    checked on integers of the call's own (L, b, W), and W'(b_j) =
+    L^(m-1) w'(a_j) is computed once per call.  A False return means some
+    decomposition is inconsistent or lacks a residue, or that W is not the
+    monic degree-m polynomial vanishing at every b_j.
     """
     poles = pfd.poles
     if any(p.poles != poles for p in more):
@@ -85,28 +87,37 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     pfds = (pfd, *more)
     m = poles.m
     L, b, W = node_polynomial(poles.values)
-    cofactors = []
-    for bi in b:
-        cofactor, rem = divide_linear(W, bi)
-        if rem != 0:
+    if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
+        return False
+    dW = derivative(W)
+    slopes = [evaluate(dW, bj) for bj in b]
+    top = max(max(p.power, len(p.polynomial_part) - 1 + m) for p in pfds)
+    Lpow = list(accumulate(repeat(L, max(top, m)), mul, initial=1))
+    # L^m w(x) = sum_l V_l x^l with V_l = W_l L^l
+    V = list(map(mul, W, Lpow))
+    for p in pfds:
+        n = p.power
+        if len(p.residues) != m:
             return False
-        cofactors.append(cofactor)
-    exponents = [max(p.power, len(p.polynomial_part) - 1 + m, m - 1) for p in pfds]
-    Lpow = list(accumulate(repeat(L, max(exponents)), mul, initial=1))
-    for p, s in zip(pfds, exponents):
-        D = lcm(*(c.denominator for c in p.polynomial_part),
-                *(r.denominator for r in p.residues))
-        rhs = [0] * (s + 1)
-        part = [c.numerator * (D // c.denominator) * Lpow[s - m - k]
-                for k, c in enumerate(p.polynomial_part)]
-        for j, wj in enumerate(W):
-            rhs[j:j + len(part)] = map(add, rhs[j:j + len(part)], map(wj.__mul__, part))
-        for r, cofactor in zip(p.residues, cofactors):
-            ri = r.numerator * (D // r.denominator) * Lpow[s - m + 1]
-            rhs[:m] = map(add, rhs[:m], map(ri.__mul__, cofactor))
-        lhs = [0] * (s + 1)
-        lhs[p.power] = D * Lpow[s - p.power]
-        if rhs != lhs:
+        # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
+        s = min(n, m - 1)
+        for r, bj, slope in zip(p.residues, b, slopes):
+            if (r.numerator * slope * Lpow[n - s]
+                    != pow(bj, n) * r.denominator * Lpow[m - 1 - s]):
+                return False
+        # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^n for every d >= m,
+        # D the lcm of the part's denominators; high[t] is degree m + t
+        part = [c.as_integer_ratio() for c in p.polynomial_part]
+        D = lcm(*[q for _, q in part])
+        C = [c * (D // q) for c, q in part]
+        high = [0] * (max(n, len(C) - 1 + m) - m + 1)
+        for l in range(max(0, m - len(C) + 1), m + 1):
+            terms = C[m - l:]
+            high[:len(terms)] = map(add, high[:len(terms)], map(V[l].__mul__, terms))
+        want = [0] * len(high)
+        if n >= m:
+            want[n - m] = D * Lpow[m]
+        if high != want:
             return False
     return True
 

@@ -15,7 +15,9 @@ Fraction per returned value.  Each route reads its own scale:
 - the brute-force oracle scales the nodes itself as well: with L the lcm
   of their denominators, it sums the products of the integers a_i*L over
   every multiset, split into a low and a high half of the nodes, and
-  divides by L^k once.
+  divides by L^k once.  One call gives h[0..kmax] from one enumeration:
+  each half's products are built level by level once, and every monomial
+  is formed as one low-half product times one high-half product.
 So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.
 """
@@ -23,8 +25,8 @@ power sums disagree with the direct ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, repeat
-from math import lcm, prod
+from itertools import accumulate, repeat
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -121,32 +123,59 @@ def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     return _unscale(L, H, 0)
 
 
-def homogeneous_brute_force(ns: "NodeSet", k: int) -> Fraction:
-    """Sum of all degree-k monomials, enumerated multiset by multiset.
+def _levels(xs: Sequence[int], kmax: int) -> list[list[int]]:
+    """levels[s] = the products of the size-s multisets of xs, s = 0..kmax.
+
+    A multiset of size s with largest index i is one of size s-1 with
+    largest index <= i times xs[i], so each product is formed from the level
+    below by one multiplication.  groups[i] holds the current level's
+    products whose largest index is i.
+    """
+    groups = [[1] if i == 0 else [] for i in range(len(xs))]
+    levels = [[1]]
+    for _ in range(kmax):
+        below = []
+        for i, x in enumerate(xs):
+            below += groups[i]  # the level below, largest index <= i
+            groups[i] = list(map(x.__mul__, below))
+        levels.append([p for group in groups for p in group])
+    return levels
+
+
+def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
+    """h[0..kmax], each the sum of all degree-k monomials, enumerated
+    multiset by multiset.
 
     Each node a_i becomes the integer b_i = a_i*L, L the lcm of the node
     denominators; the sum of the C(m+k-1, k) integer products over all
-    multisets of the b_i is divided by L^k once, so the result is the same
+    multisets of the b_i is divided by L^k once, so each result is the same
     value with one normalisation.  The scaled nodes are split into two
     halves: a multiset of size k is one of size s from the low half and one
     of size k-s from the high half, and its product is the product of
-    theirs.  So for each s the high-half products are listed once and every
-    low-half product is multiplied by each of them: every monomial is still
-    formed and summed on its own, while only one level of one half is held
-    in memory.  Intended as an oracle for small m and k, and kept
-    deliberately independent of both recurrences.
+    theirs.  Each half's level products for s <= kmax are built once
+    (`_levels`); then for every k and s each low-half product is multiplied
+    by each high-half product (looping over the shorter list) and the
+    results are summed.  So every monomial is still formed and summed on
+    its own.  Intended as an oracle for small
+    m and k, and kept deliberately independent of both recurrences.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    scale = lcm(*(a.denominator for a in ns.values))
-    scaled = [a.numerator * (scale // a.denominator) for a in ns.values]
-    lo, hi = scaled[: len(scaled) // 2], scaled[len(scaled) // 2 :]
-    total = 0
-    for s in range(k + 1):
-        right = list(map(prod, combinations_with_replacement(hi, k - s)))
-        for p in map(prod, combinations_with_replacement(lo, s)):
-            total += sum(map(p.__mul__, right))
-    return Fraction(total, scale**k)
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    L = lcm(*(a.denominator for a in ns.values))
+    scaled = [a.numerator * (L // a.denominator) for a in ns.values]
+    half = len(scaled) // 2
+    lo, hi = _levels(scaled[:half], kmax), _levels(scaled[half:], kmax)
+    totals = []
+    for k in range(kmax + 1):
+        total = 0
+        for s in range(k + 1):
+            left, right = lo[s], hi[k - s]
+            if len(left) > len(right):  # fewer, longer sums
+                left, right = right, left
+            for p in left:
+                total += sum(map(p.__mul__, right))
+        totals.append(total)
+    return _unscale(L, totals, 0)
 
 
 def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import comb
 from unittest import mock
 
 import pytest
@@ -144,6 +145,23 @@ class TestVerbs:
         assert res["tables"]["h_via_elementary"] == ["1", "6", "25", "90"]
         assert res["tables"]["h_via_elementary"] == res["tables"]["h_via_power_sums"]
         assert res["agreement"] == {"h_triple": True, "newton_round_trip": True}
+
+    def test_brute_force_compares_each_k_under_the_cap(self, capsys):
+        # At m = 8, C(20, 13) = 77520 multisets are enumerated for k = 13,
+        # while C(21, 14) = 116280 is past the cap of 100000.
+        assert comb(20, 13) <= cli._BRUTE_FORCE_LIMIT < comb(21, 14)
+        argv = ["symmetric", "1/2 -3 7/3 5/4 -8/5 2/7 9 -1/6", "--kmax", "14"]
+        assert cli.run(argv) == 0
+        line = capsys.readouterr().out.splitlines()[5]
+        assert line.startswith("h (brute force):")
+        values = line.split(":")[1].split()
+        assert len(values) == 15
+        assert [v == "-" for v in values] == [False] * 14 + [True]
+        code, res = run_json(capsys, argv)
+        assert code == 0
+        h_bf = res["tables"]["h_brute_force"]
+        assert h_bf[:14] == res["tables"]["h_via_elementary"][:14]
+        assert h_bf[14] is None
 
     def test_verify_ok(self, capsys):
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3", "--nmax", "9"])
@@ -470,19 +488,44 @@ class TestVerifierIndependence:
         assert code == 0
         assert all(c["ok"] for c in res["checks"])
 
-    def test_wrong_cofactor_fails_verify(self, capsys, monkeypatch):
-        true_divide = partfrac.divide_linear
-        calls = []
+    def test_wrong_derivative_at_pole_fails_verify(self, capsys, monkeypatch):
+        # reconstruct's own W'(b_j): its node polynomial has degree m = 4, so
+        # its derivative is the first polynomial of 4 coefficients evaluated.
+        true_evaluate = partfrac.evaluate
+        slopes = []
 
-        def wrong(coeffs, b):
-            quot, rem = true_divide(coeffs, b)
-            calls.append(b)
-            if len(calls) == 1:  # only the first pole's cofactor
-                quot = [quot[0] + 1, *quot[1:]]
-            return quot, rem
+        def wrong(coeffs, x):
+            value = true_evaluate(coeffs, x)
+            if len(coeffs) == 4:
+                slopes.append(x)
+                if len(slopes) == 1:  # only the first pole's
+                    value += 1
+            return value
 
-        monkeypatch.setattr(partfrac, "divide_linear", wrong)
-        self.verify_fails(capsys, "decompositions reconstruct exactly")
+        monkeypatch.setattr(partfrac, "evaluate", wrong)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert len(slopes) == 4
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decompositions reconstruct exactly"}
+
+    def test_wrong_node_polynomial_fails_decompose(self, capsys, monkeypatch):
+        argv = ["decompose", "1/2 -3 7/3 4", "--n", "6"]
+        assert cli.run(argv) == 0
+        good = capsys.readouterr().out.splitlines()
+        self.corrupt_node_polynomial(monkeypatch, partfrac, lambda W: [W[0] + 1, *W[1:]])
+        assert cli.run(argv) == 1
+        bad = capsys.readouterr().out.splitlines()
+        assert good[-1] == "reconstruction check: ok"
+        assert bad == [*good[:-1], "reconstruction check: FAILED"]
+
+    def test_wrong_closed_form_fails_table(self, capsys, monkeypatch):
+        true_ladder = nodes.homogeneous_via_elementary
+        monkeypatch.setattr(nodes, "homogeneous_via_elementary",
+                            lambda ns, kmax: [*true_ladder(ns, kmax)[:-1], 0])
+        assert cli.run(["table", "1 2 3", "--nmax", "4"]) == 1
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[-1] for row in rows] == ["yes"] * 4 + ["NO"]
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
         true_ladder = partfrac.homogeneous_via_elementary
@@ -512,6 +555,14 @@ class TestVerifierIndependence:
                             lambda E: [*E[:-1], E[-1] + 1])
         self.verify_fails(capsys, "homogeneous recurrences agree", "newton round trip")
 
+    def test_wrong_integer_e_list_fails_symmetric(self, capsys, monkeypatch):
+        self.corrupt_scaled(monkeypatch, "_scaled_elementary",
+                            lambda E: [*E[:-1], E[-1] + 1])
+        assert cli.run(["symmetric", "1 2 3", "--kmax", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "h paths agree: NO\n" in out
+        assert "newton round trip: NO\n" in out
+
     def test_wrong_scaled_power_sums_fail_verify(self, capsys, monkeypatch):
         self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
                             lambda P: [*P[:-1], P[-1] + 1])
@@ -522,7 +573,7 @@ class TestVerifierIndependence:
         # would give back the true h_2 = 25 and a false "yes".
         self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
                             lambda P: [P[0], P[1] + 1, *P[2:]])
-        cli.run(["symmetric", "1 2 3", "--kmax", "2"])
+        assert cli.run(["symmetric", "1 2 3", "--kmax", "2"]) == 1
         out = capsys.readouterr().out
         assert "h (elementary recurrence): 1 6 25\n" in out
         assert "h (power-sum recurrence):  1 6 51/2\n" in out
@@ -555,11 +606,18 @@ well_formed = st.builds(
 
 
 def _failed_check_named(out: str) -> bool:
-    """True iff a verify output, text or JSON, names a check that failed."""
+    """True iff an output, text or JSON, names a check that failed: a
+    failed verify check, a symmetric agreement, a decomposition that does
+    not reconstruct, or a table row that does not match."""
     try:
-        return any(not c["ok"] for c in json.loads(out)["checks"])
-    except (ValueError, KeyError, TypeError):
-        return any(line.startswith("FAIL") for line in out.splitlines())
+        res = json.loads(out)
+    except ValueError:
+        return any(line.startswith("FAIL") or line.endswith((" NO", "FAILED"))
+                   for line in out.splitlines())
+    return (any(not c["ok"] for c in res.get("checks", []))
+            or not all(res.get("agreement", {}).values())
+            or res.get("decomposition", {}).get("reconstructed") is False
+            or any(r.get("match") is False for r in res.get("rows", [])))
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffprod import nodeset_new
-from diffprod.exactpoly import derivative, divide_linear, evaluate, node_polynomial
+from diffprod.exactpoly import derivative, evaluate, node_polynomial
 from .strategies import EDGE_SETS, node_sets, poly_from_roots
 
 # z^4 - 22 z^3 + 171 z^2 - 542 z + 560, ascending.
@@ -51,11 +51,20 @@ class TestFromRoots:
     def test_repeated_root_at_origin(self):
         assert node_polynomial([F(0), F(0)]) == (1, [0, 0], [0, 0, 1])
 
-    @given(node_sets)
-    def test_roots_evaluate_to_zero(self, ns):
+    @staticmethod
+    def check_roots(ns):
+        # reconstruct relies on W(b_i) = 0 at every scaled node
         L, b, W = node_polynomial(ns.values)
         for bi in b:
             assert evaluate(W, bi) == 0
+
+    @given(node_sets)
+    def test_roots_evaluate_to_zero(self, ns):
+        self.check_roots(ns)
+
+    @edge_sets
+    def test_edge_sets_roots_evaluate_to_zero(self, ns):
+        self.check_roots(ns)
 
     @staticmethod
     def check_scaled_poly_from_roots(ns):
@@ -118,41 +127,6 @@ class TestEval:
     @given(polys, ints)
     def test_matches_power_sum(self, p, x):
         assert evaluate(p, x) == sum(c * x**k for k, c in enumerate(p))
-
-
-class TestDivideLinear:
-    def test_factor_quadratic(self):
-        assert divide_linear([2, -3, 1], 1) == ([-2, 1], 0)
-
-    def test_quartic_by_root(self):
-        assert divide_linear(QUARTIC, 2) == ([-280, 131, -20, 1], 0)
-
-    def test_nonzero_remainder(self):
-        assert divide_linear([0, 0, 1], 1) == ([1, 1], 1)
-
-    @given(polys.filter(len), ints)
-    def test_recomposition(self, p, b):
-        q, r = divide_linear(p, b)
-        assert _add(_mul(q, [-b, 1]), [r]) == p
-        assert r == evaluate(p, b)
-
-    @staticmethod
-    def check_cofactors(ns):
-        # W / (z - b_i) = prod_{j != i}(z - b_j), remainder W(b_i) = 0.
-        L, b, W = node_polynomial(ns.values)
-        for i, bi in enumerate(b):
-            q, r = divide_linear(W, bi)
-            assert _add(_mul(q, [-bi, 1]), [r]) == W
-            assert r == evaluate(W, bi) == 0
-            assert q == poly_from_roots(b[:i] + b[i + 1:])
-
-    @given(node_sets)
-    def test_cofactors_of_node_polynomial(self, ns):
-        self.check_cofactors(ns)
-
-    @edge_sets
-    def test_edge_sets_cofactors(self, ns):
-        self.check_cofactors(ns)
 
 
 class TestRingOps:

@@ -20,7 +20,7 @@ from diffprod import (
     reconstruct,
 )
 from diffprod import partfrac
-from .strategies import multi_node_sets, node_sets
+from .strategies import multi_node_sets, node_sets, poly_from_roots, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
 FOUR = nodeset_new([2, 5, 7, 8])
@@ -73,8 +73,7 @@ class TestDecompose:
         if n < ns.m:
             assert pfd.polynomial_part == []
         else:
-            k = n - ns.m
-            expected = [homogeneous_brute_force(ns, k - d) for d in range(k + 1)]
+            expected = homogeneous_brute_force(ns, n - ns.m)[::-1]
             assert pfd.polynomial_part == expected
 
 
@@ -88,9 +87,8 @@ class TestDecompositions:
             assert pfd.poles is ns
             assert pfd.residues == [a**n / A for a, A in zip(ns.values, products)]
             k = n - ns.m
-            assert pfd.polynomial_part == [
-                homogeneous_brute_force(ns, k - d) for d in range(k + 1)
-            ]
+            assert pfd.polynomial_part == (
+                homogeneous_brute_force(ns, k)[::-1] if k >= 0 else [])
 
     def test_negative_nmax(self):
         with pytest.raises(NegativeExponent):
@@ -129,11 +127,70 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(decompose(3, SIX), decompose(3, FOUR))
 
-    def test_nonzero_remainder_is_false(self, monkeypatch):
-        divide = partfrac.divide_linear
-        monkeypatch.setattr(partfrac, "divide_linear",
-                            lambda coeffs, b: (divide(coeffs, b)[0], 1))
+    @staticmethod
+    def corrupt_node_polynomial(monkeypatch, corrupt):
+        """Make reconstruct's node_polynomial return corrupt(L, b, W)."""
+        true_node_polynomial = partfrac.node_polynomial
+        monkeypatch.setattr(partfrac, "node_polynomial",
+                            lambda values: corrupt(*true_node_polynomial(values)))
+
+    def test_pole_not_a_root_is_false(self, monkeypatch):
+        # b_0 = 3 becomes 4, which is not a root of W
+        self.corrupt_node_polynomial(monkeypatch, lambda L, b, W: (L, [b[0] + 1, *b[1:]], W))
         assert reconstruct(decompose(5, SIX)) is False
+
+    def test_missing_residue_is_false(self):
+        # With a pole left unchecked the interpolation proves nothing: the
+        # pole at 0 has residue 0, and dropping it leaves x^2 unproved.
+        pfd = decompose(2, nodeset_new([-2, -1, 0]))
+        assert pfd.residues[-1] == 0
+        short = PartialFractionDecomposition(2, pfd.poles, [], pfd.residues[:-1])
+        assert reconstruct(pfd) is True
+        assert reconstruct(short) is False
+
+    def test_non_monic_node_polynomial_is_false(self, monkeypatch):
+        # 2W still vanishes at every pole; the decomposition over it, with
+        # every coefficient halved, agrees with it but is not x^n's.
+        self.corrupt_node_polynomial(monkeypatch, lambda L, b, W: (L, b, [2 * c for c in W]))
+        pfd = decompose(8, SIX)
+        halved = PartialFractionDecomposition(
+            8, SIX, [c / 2 for c in pfd.polynomial_part], [r / 2 for r in pfd.residues])
+        assert reconstruct(halved) is False
+
+    @staticmethod
+    def expand(pfd):
+        """x^n == part * w + sum r_i w / (x - a_i), coefficient by
+        coefficient over Fractions: the check before interpolation."""
+        values = pfd.poles.values
+        rhs = [F(0)] * (max(pfd.power, len(pfd.polynomial_part) - 1 + len(values)) + 1)
+        for k, c in enumerate(pfd.polynomial_part):
+            for j, wj in enumerate(poly_from_roots(values)):
+                rhs[k + j] += c * wj
+        for i, r in enumerate(pfd.residues):
+            for j, cj in enumerate(poly_from_roots(values[:i] + values[i + 1:])):
+                rhs[j] += r * cj
+        lhs = [F(0)] * len(rhs)
+        lhs[pfd.power] = F(1)
+        return lhs == rhs
+
+    @settings(deadline=None)
+    @given(node_sets, st.integers(min_value=0, max_value=13),
+           st.sampled_from(["none", "residue", "part", "leading", "extend"]),
+           rationals.filter(bool), st.data())
+    def test_agrees_with_coefficient_expansion(self, ns, n, change, delta, data):
+        pfd = decompose(n, ns)
+        residues, part = list(pfd.residues), list(pfd.polynomial_part)
+        if change == "residue":
+            residues[data.draw(st.integers(0, ns.m - 1))] += delta
+        elif change == "part" and part:
+            part[data.draw(st.integers(0, len(part) - 1))] += delta
+        elif change == "leading" and part:
+            part[-1] += delta
+        elif change != "none":  # a new leading coefficient
+            part.append(delta)
+        altered = PartialFractionDecomposition(n, ns, part, residues)
+        assert reconstruct(altered) is self.expand(altered)
+        assert reconstruct(altered) is (change == "none")
 
     def test_holds_without_asserts(self):
         # -O strips assert statements; the check must not depend on one.

@@ -99,8 +99,7 @@ class TestHomogeneousRecurrences:
         h_e = homogeneous_via_elementary(ns, kmax)
         h_p = homogeneous_via_power_sums(ns, kmax)
         assert h_e == h_p
-        for k in range(kmax + 1):
-            assert h_e[k] == homogeneous_brute_force(ns, k)
+        assert h_e == homogeneous_brute_force(ns, kmax)
 
     @given(node_sets)
     def test_closed_form_expansions(self, ns):
@@ -133,22 +132,21 @@ class TestHomogeneousRecurrences:
                 if j < len(d):
                     c -= d[j] * series[k - j]
             series.append(c)
-        assert series == [homogeneous_brute_force(ns, k) for k in range(5)]
+        assert series == homogeneous_brute_force(ns, 4)
 
 
 class TestBruteForce:
     def test_small_case(self):
-        assert homogeneous_brute_force(ONE_TWO_THREE, 2) == 25
+        assert homogeneous_brute_force(ONE_TWO_THREE, 2) == [1, 6, 25]
 
     def test_single_node_powers(self):
         c = F(-7, 3)
         ns = nodeset_new([c])
-        for k in range(5):
-            assert homogeneous_brute_force(ns, k) == c**k
+        assert homogeneous_brute_force(ns, 4) == [c**k for k in range(5)]
 
     def test_k_zero(self):
-        h0 = homogeneous_brute_force(nodeset_new([F(1, 2), F(-5, 3)]), 0)
-        assert type(h0) is F and h0 == F(1)
+        h = homogeneous_brute_force(nodeset_new([F(1, 2), F(-5, 3)]), 0)
+        assert len(h) == 1 and type(h[0]) is F and h[0] == F(1)
 
     def test_negative_k(self):
         with pytest.raises(ValueError):
@@ -156,27 +154,31 @@ class TestBruteForce:
 
     @given(st.lists(rationals, min_size=1, max_size=6, unique=True), st.booleans(),
            st.integers(min_value=0, max_value=6))
-    def test_matches_fraction_enumeration(self, values, with_zero, k):
+    def test_matches_fraction_enumeration(self, values, with_zero, kmax):
         ns = nodeset_new(set(values) | {F(0)} if with_zero else values)
-        expected = F(0)
-        for combo in combinations_with_replacement(ns.values, k):
-            term = F(1)
-            for a in combo:
-                term *= a
-            expected += term
-        h = homogeneous_brute_force(ns, k)
-        assert type(h) is F and h == expected
+        expected = []
+        for k in range(kmax + 1):
+            total = F(0)
+            for combo in combinations_with_replacement(ns.values, k):
+                term = F(1)
+                for a in combo:
+                    term *= a
+                total += term
+            expected.append(total)
+        h = homogeneous_brute_force(ns, kmax)
+        assert all(type(v) is F for v in h) and h == expected
 
     @given(st.lists(rationals, min_size=1, max_size=6, unique=True),
            st.integers(min_value=0, max_value=8))
-    def test_halves_match_plain_enumeration(self, values, k):
+    def test_halves_match_plain_enumeration(self, values, kmax):
         # The whole multiset enumeration on the scaled integers, unsplit.
         ns = nodeset_new(values)
         L = lcm(*(a.denominator for a in ns.values))
         b = [a.numerator * (L // a.denominator) for a in ns.values]
-        expected = F(sum(prod(c) for c in combinations_with_replacement(b, k)), L**k)
-        h = homogeneous_brute_force(ns, k)
-        assert type(h) is F and h == expected
+        expected = [F(sum(prod(c) for c in combinations_with_replacement(b, k)), L**k)
+                    for k in range(kmax + 1)]
+        h = homogeneous_brute_force(ns, kmax)
+        assert all(type(v) is F for v in h) and h == expected
 
 
 class TestNewton:
