@@ -51,20 +51,11 @@ class TestFromRoots:
     def test_repeated_root_at_origin(self):
         assert node_polynomial([F(0), F(0)]) == (1, [0, 0], [0, 0, 1])
 
-    @staticmethod
-    def check_roots(ns):
-        # reconstruct relies on W(b_i) = 0 at every scaled node
+    @given(node_sets)
+    def test_roots_evaluate_to_zero(self, ns):
         L, b, W = node_polynomial(ns.values)
         for bi in b:
             assert evaluate(W, bi) == 0
-
-    @given(node_sets)
-    def test_roots_evaluate_to_zero(self, ns):
-        self.check_roots(ns)
-
-    @edge_sets
-    def test_edge_sets_roots_evaluate_to_zero(self, ns):
-        self.check_roots(ns)
 
     @staticmethod
     def check_scaled_poly_from_roots(ns):
@@ -127,6 +118,30 @@ class TestEval:
     @given(polys, ints)
     def test_matches_power_sum(self, p, x):
         assert evaluate(p, x) == sum(c * x**k for k, c in enumerate(p))
+
+
+class TestDivideLinear:
+    """W divided by each of its linear factors z - b_i."""
+
+    @staticmethod
+    def check_cofactors(ns):
+        # W = (z - b_i) prod_{j != i}(z - b_j) with remainder W(b_i) = 0, and the
+        # cofactor's value at b_i is W'(b_i): reconstruct relies on both.
+        L, b, W = node_polynomial(ns.values)
+        w1 = derivative(W)
+        for i, bi in enumerate(b):
+            q = poly_from_roots(b[:i] + b[i + 1:])
+            assert _mul(q, [-bi, 1]) == W
+            assert evaluate(W, bi) == 0
+            assert evaluate(w1, bi) == evaluate(q, bi)
+
+    @given(node_sets)
+    def test_cofactors_of_node_polynomial(self, ns):
+        self.check_cofactors(ns)
+
+    @edge_sets
+    def test_edge_sets_cofactors(self, ns):
+        self.check_cofactors(ns)
 
 
 class TestRingOps:
