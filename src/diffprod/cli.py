@@ -106,20 +106,20 @@ def fmt(q) -> str:
 
 
 def fmt_poly(coeffs, var: str = "x") -> str:
-    """Descending-power rendering, e.g. "x^2 - 3x + 2"."""
+    """Descending-power rendering of ascending `fmt` strings, e.g.
+    ["2", "-3", "1"] -> "x^2 - 3*x + 2"."""
     if not coeffs:
         return "0"
     parts = []
     for d in range(len(coeffs) - 1, -1, -1):
         c = coeffs[d]
-        if c == 0:
+        if c == "0":
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        sign, mag = ("-", c[1:]) if c.startswith("-") else ("+", c)
         if d == 0:
-            body = fmt(mag)
+            body = mag
         else:
-            head = "" if mag == 1 else fmt(mag) + "*"
+            head = "" if mag == "1" else mag + "*"
             body = f"{head}{var}" if d == 1 else f"{head}{var}^{d}"
         parts.append((sign, body))
     sign, body = parts[0]
@@ -214,9 +214,8 @@ def _run_decompose(ns: NodeSet, n: int) -> dict:
 
 def _print_decompose(res: dict) -> None:
     dec = res["decomposition"]
-    part = [Fraction(c) for c in dec["polynomial_part"]]
     print(f"x^{res['n']} / prod(x - a_i), nodes: {' '.join(res['nodes'])}")
-    print(f"polynomial part: {fmt_poly(part)}")
+    print(f"polynomial part: {fmt_poly(dec['polynomial_part'])}")
     for node, r in zip(res["nodes"], dec["residues"]):
         print(f"residue at {node}: {r}")
     print(f"reconstruction check: {'ok' if dec['reconstructed'] else 'FAILED'}")

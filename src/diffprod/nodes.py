@@ -39,10 +39,6 @@ class NegativeExponent(ValueError):
         self.value = value
 
 
-class EmptyInput(ValueError):
-    """Raised when an operation needs at least one fraction."""
-
-
 @dataclass(frozen=True)
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
@@ -137,16 +133,24 @@ def _check_exponent(n: int) -> None:
 
 
 def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
-    """[S_0, ..., S_nmax] with S_n = sum a_i^n / A_i (and 0**0 = 1).
-
-    The weights 1/A_i are put over one denominator D as integers N_i; since
-    a_i^n = b_i^n / L^n, S_n = sum N_i b_i^n / (D L^n).  The integer terms
-    are multiplied by b_i from one power to the next, and each S_n is
-    normalised once: O(m^2 + nmax*m) integer operations in all.
-    """
+    """[S_0, ..., S_nmax] with S_n = sum a_i^n / A_i (and 0**0 = 1): the
+    power sums of the nodes weighted by 1/A_i, in O(m^2 + nmax*m) integer
+    operations."""
     _check_exponent(nmax)
-    L, b = ns.scaled
-    terms, den = common_denominator_form([1 / A for A in ns.products])
+    return _weighted_power_sums([1 / A for A in ns.products], ns.values, nmax)
+
+
+def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> list[Fraction]:
+    """[sum w_i a_i^n for n = 0..nmax] (0**0 = 1) over m >= 1 weights w_i
+    and rationals a_i.
+
+    With the weights over one denominator D as integers N_i, and b_i = a_i*L
+    for L the lcm of the values' own denominators, the sum is
+    sum N_i b_i^n / (D L^n): each integer term is multiplied by b_i from one
+    power to the next, and each sum is normalised once."""
+    terms, den = common_denominator_form(weights)
+    L = lcm(*(a.denominator for a in values))
+    b = [a.numerator * (L // a.denominator) for a in values]
     sums = [Fraction(sum(terms), den)]
     for _ in range(nmax):
         terms = [t * bi for t, bi in zip(terms, b)]
@@ -171,8 +175,6 @@ def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:
     to the sum of the inputs.
     """
     fracs = [Fraction(f) for f in fractions]
-    if not fracs:
-        raise EmptyInput("need at least one fraction")
     den = lcm(*(f.denominator for f in fracs))
     nums = [f.numerator * (den // f.denominator) for f in fracs]
     return nums, den

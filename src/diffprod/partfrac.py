@@ -22,7 +22,7 @@ from math import lcm, prod
 from operator import add, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
-from .nodes import NegativeExponent, NodeSet, nodeset_new
+from .nodes import NegativeExponent, NodeSet, _weighted_power_sums, nodeset_new
 from .symmetric import homogeneous_via_elementary
 
 
@@ -127,9 +127,13 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
     partial-fraction argument does.
 
     Decompose x^n over the first m-1 poles, then evaluate at x = the
-    largest node: each residue over (a_i - x) is exactly a_i^n / A_i for
-    the full set, and the remaining term is the last node's own fraction.
-    The (m-1)-node set and its decompositions are built once for all n.
+    largest node: each residue a_i^n / A'_i over (a_i - x) is exactly
+    a_i^n / A_i for the full set, and the remaining term is the last
+    node's own fraction x^n / prod(x - a_i).  So S_n is a power sum of the
+    nodes with weights 1/(A'_i (a_i - x)) and 1/prod(x - a_i), A'_i the
+    products of the (m-1)-node set, which is built once for all n.  The
+    powers are stepped by the same integer kernel as `euler_sums`, whose
+    closed-form check fails if that kernel is wrong.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
@@ -137,11 +141,6 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
         raise NodeSetTooSmall("need at least two nodes")
     x = ns.values[-1]
     rest = nodeset_new(ns.values[:-1])
+    weights = [1 / (A * (a - x)) for A, a in zip(rest.products, rest.values)]
     last = 1 / prod((x - a for a in rest.values), start=Fraction(1))
-    inverse = [1 / (a - x) for a in rest.values]
-    sums = []
-    for pfd in decompositions(rest, nmax):
-        sums.append(sum(map(mul, pfd.residues, inverse), last))
-        last *= x
-    return sums
-
+    return _weighted_power_sums([*weights, last], ns.values, nmax)

@@ -87,13 +87,14 @@ class TestFormatting:
         assert fmt(F(-1, 90)) == "-1/90"
 
     def test_poly_descending(self):
-        assert fmt_poly([F(2), F(-3), F(1)]) == "x^2 - 3*x + 2"
+        assert fmt_poly(["2", "-3", "1"]) == "x^2 - 3*x + 2"
+        assert fmt_poly(["-1/3", "0", "-1"]) == "-x^2 - 1/3"
 
     def test_poly_zero(self):
         assert fmt_poly([]) == "0"
 
     def test_poly_fractional_coeff(self):
-        assert fmt_poly([F(1, 2), F(1)]) == "x + 1/2"
+        assert fmt_poly(["1/2", "1"]) == "x + 1/2"
 
 
 def run_json(capsys, argv):
@@ -536,6 +537,50 @@ class TestVerifierIndependence:
 
         monkeypatch.setattr(partfrac, "homogeneous_via_elementary", wrong)
         self.verify_fails(capsys, "decompositions reconstruct exactly")
+
+    def test_wrong_power_sum_kernel_fails_closed_form(self, capsys, monkeypatch):
+        # euler_sums and the decomposition route share one integer kernel, so
+        # a wrong kernel makes them agree; the closed forms come from the
+        # h-ladder, which never reads it.
+        true_kernel = nodes._weighted_power_sums
+
+        def wrong(weights, values, nmax):
+            sums = true_kernel(weights, values, nmax)
+            return [*sums[:-1], sums[-1] + 1]
+
+        monkeypatch.setattr(nodes, "_weighted_power_sums", wrong)
+        monkeypatch.setattr(partfrac, "_weighted_power_sums", wrong)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "sum matches closed form for n <= nmax"}
+
+    @staticmethod
+    def wrong_last_weight(monkeypatch):
+        # prod builds only the last node's weight 1/prod(x - a_i)
+        true_prod = partfrac.prod
+        monkeypatch.setattr(partfrac, "prod", lambda *a, **kw: 2 * true_prod(*a, **kw))
+
+    @staticmethod
+    def wrong_rest_products(monkeypatch):
+        # the (m-1)-node set is the only node set the route builds
+        true_nodeset_new = partfrac.nodeset_new
+
+        def wrong(values):
+            rest = true_nodeset_new(values)
+            A = rest.products
+            rest.__dict__["products"] = (*A[:-1], A[-1] + 1)
+            return rest
+
+        monkeypatch.setattr(partfrac, "nodeset_new", wrong)
+
+    @pytest.mark.parametrize("corrupt", [wrong_last_weight, wrong_rest_products])
+    def test_wrong_route_input_fails_decomposition_route(self, corrupt, capsys, monkeypatch):
+        corrupt(monkeypatch)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decomposition route reproduces the sum"}
 
     @staticmethod
     def corrupt_scaled(monkeypatch, name, corrupt):

@@ -18,7 +18,7 @@ from diffprod import (
     homogeneous_brute_force,
     nodeset_new,
 )
-from diffprod.nodes import EmptyInput, common_denominator_form
+from diffprod.nodes import common_denominator_form
 from .strategies import EDGE_SETS, node_sets, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -220,10 +220,6 @@ class TestCommonDenominatorForm:
         assert scaled == [
             F(1, 3150), F(-1, 350), F(1, 90), F(-1, 42), F(1, 35), F(-1, 75),
         ]
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            common_denominator_form([])
 
     @given(st.lists(rationals, min_size=1, max_size=10))
     def test_sum_preserved(self, fracs):
