@@ -31,6 +31,7 @@ from .nodes import (
 )
 from .partfrac import decompose, decompositions, euler_sums_via_decomposition, reconstruct
 from .symmetric import (
+    elementary_all,
     homogeneous_brute_force,
     homogeneous_via_elementary,
     homogeneous_via_power_sums,
@@ -98,8 +99,7 @@ def parse_nodes(text: str) -> NodeSet:
 
 
 def fmt(q) -> str:
-    """Render a rational as "p" or "p/q"."""
-    q = Fraction(q)
+    """Render a rational (a Fraction or an int) as "p" or "p/q"."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -239,9 +239,9 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     Newton's identities give back the direct power sums.
     """
     # Each route picks its own scale: the e-route and Newton read
-    # e_1..e_min(kmax, m) off ns.elementary, so off ns.scaled, while the
-    # power sums, the power-sum route and the brute-force oracle read only
-    # the node values.  So a wrong ns.scaled shows up as a disagreement.
+    # E_1..E_min(kmax, m) off ns.scaled_elementary, so off ns.scaled, while
+    # the power sums, the power-sum route and the brute-force oracle read
+    # only the node values.  So a wrong ns.scaled shows up as a disagreement.
     p = power_sums(ns, max(kmax, 1))
     h_e = homogeneous_via_elementary(ns, kmax)
     h_p = homogeneous_via_power_sums(ns, kmax)
@@ -253,13 +253,12 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
     triple = all(a == b and bf in (None, a) for a, b, bf in zip(h_e, h_p, h_bf))
-    e = (ns.elementary + (Fraction(0),) * kmax)[: kmax + 1]  # e_k = 0 for k > m
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
-            "e": [fmt(v) for v in e],
+            "e": [fmt(v) for v in elementary_all(ns, kmax)],
             "p": [fmt(v) for v in p],
             "h_via_elementary": [fmt(v) for v in h_e],
             "h_via_power_sums": [fmt(v) for v in h_p],

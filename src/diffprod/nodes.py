@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exactpoly import derivative, evaluate, node_polynomial
-from .symmetric import elementary_all, homogeneous_via_elementary
+from .symmetric import _power_ladder, _unscale, homogeneous_via_elementary
 
 
 class EmptyNodeSet(ValueError):
@@ -43,9 +43,9 @@ class NegativeExponent(ValueError):
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
 
-    The integer form, the difference products and the elementary values
-    are computed on first use and kept on the instance, so each is built
-    once per node set.  The cached attributes are not fields: equality and
+    The integer form, the difference products and the integers behind the
+    elementary values are computed on first use and kept on the instance,
+    so each is built once per node set.  The cached attributes are not fields: equality and
     hashing see only `values`.
     """
 
@@ -67,9 +67,14 @@ class NodeSet:
         return tuple(diff_products(self))
 
     @cached_property
-    def elementary(self) -> tuple:
-        """e[0..m], the elementary symmetric values of the nodes."""
-        return tuple(elementary_all(self, self.m))
+    def scaled_elementary(self) -> tuple:
+        """(E_0, ..., E_m), E_k = L^k e_k for (L, b) = scaled: the integer
+        coefficients of prod(z + b_i), built as E_k += b_i E_{k-1}."""
+        E = [1] + [0] * self.m
+        for i, bi in enumerate(self.scaled[1], start=1):
+            for k in range(i, 0, -1):
+                E[k] += bi * E[k - 1]
+        return tuple(E)
 
 
 @dataclass(frozen=True)
@@ -144,19 +149,12 @@ def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> list
     """[sum w_i a_i^n for n = 0..nmax] (0**0 = 1) over m >= 1 weights w_i
     and rationals a_i.
 
-    With the weights over one denominator D as integers N_i, and b_i = a_i*L
-    for L the lcm of the values' own denominators, the sum is
-    sum N_i b_i^n / (D L^n): each integer term is multiplied by b_i from one
-    power to the next, and each sum is normalised once."""
-    terms, den = common_denominator_form(weights)
-    L = lcm(*(a.denominator for a in values))
-    b = [a.numerator * (L // a.denominator) for a in values]
-    sums = [Fraction(sum(terms), den)]
-    for _ in range(nmax):
-        terms = [t * bi for t, bi in zip(terms, b)]
-        den *= L
-        sums.append(Fraction(sum(terms), den))
-    return sums
+    The weights go over one denominator D as integers N_i; the power kernel
+    of `symmetric` gives L, the values' own lcm, and sum N_i (a_i*L)^n,
+    which is normalised once over D L^n."""
+    terms, D = common_denominator_form(weights)
+    L, sums = _power_ladder(terms, values, nmax)
+    return _unscale(L, sums, D)
 
 
 def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:

@@ -10,7 +10,8 @@ parts for every n up to nmax from one ladder.
 reading nothing the decomposition was built from: with L the lcm of the
 pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
 W'(b_i) once per call (`exactpoly`).  Each decomposition must then give
-a_j^n at every pole and agree with x^n in every coefficient of degree >= m.
+a_j^n at every pole, and its part must be the quotient of x^n by w: that
+is proved once, for the largest n, and every other part is its tail.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm, prod
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
 from .nodes import NegativeExponent, NodeSet, _weighted_power_sums, nodeset_new
@@ -75,8 +76,12 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     The difference of the two sides is zero exactly when (i) it vanishes at
     every pole, r_j w'(a_j) = a_j^n, and (ii) it has degree < m, so that
     part * w agrees with x^n in every coefficient of degree >= m: a
-    polynomial of degree < m with m roots is zero.  With x = z/L, both are
-    checked on integers of the call's own (L, b, W), and W'(b_j) =
+    polynomial of degree < m with m roots is zero.  (ii) makes the part the
+    quotient of x^n by w, [h_{n-m}, ..., h_0] ascending, which is the tail
+    of the quotient for any larger N (division by reversal).  So (ii) is
+    checked once, for a largest power N, and every part must equal that
+    part's tail (zero for n < m); (i) is checked for each n.  With x = z/L,
+    both run on integers of the call's own (L, b, W), and W'(b_j) =
     L^(m-1) w'(a_j) is computed once per call.  A False return means some
     decomposition is inconsistent or lacks a residue, or that W is not the
     monic degree-m polynomial vanishing at every b_j.
@@ -89,15 +94,31 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     L, b, W = node_polynomial(poles.values)
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
+    top = max(pfds, key=attrgetter("power"))
+    N = top.power
+    Lpow = list(accumulate(repeat(L, max(N, m)), mul, initial=1))
+    # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^N for every d >= m, D the
+    # lcm of the part's denominators and L^m w(x) = sum_l W_l L^l x^l;
+    # high[t] is degree m + t
+    part = [c.as_integer_ratio() for c in top.polynomial_part]
+    D = lcm(*[q for _, q in part])
+    C = [c * (D // q) for c, q in part]
+    high = [0] * (max(N, len(C) - 1 + m) - m + 1)
+    for l in range(max(0, m - len(C) + 1), m + 1):
+        terms = C[m - l:]
+        high[:len(terms)] = map(add, high[:len(terms)], map((W[l] * Lpow[l]).__mul__, terms))
+    want = [0] * len(high)
+    if N >= m:
+        want[N - m] = D * Lpow[m]
+    if high != want:
+        return False
+    quotient = top.polynomial_part[:max(N - m + 1, 0)]  # the rest is zero
     dW = derivative(W)
     slopes = [evaluate(dW, bj) for bj in b]
-    top = max(max(p.power, len(p.polynomial_part) - 1 + m) for p in pfds)
-    Lpow = list(accumulate(repeat(L, max(top, m)), mul, initial=1))
-    # L^m w(x) = sum_l V_l x^l with V_l = W_l L^l
-    V = list(map(mul, W, Lpow))
     for p in pfds:
         n = p.power
-        if len(p.residues) != m:
+        tail, part = quotient[N - n:], p.polynomial_part
+        if len(p.residues) != m or part[:len(tail)] != tail or any(part[len(tail):]):
             return False
         # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
         s = min(n, m - 1)
@@ -105,20 +126,6 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
             if (r.numerator * slope * Lpow[n - s]
                     != pow(bj, n) * r.denominator * Lpow[m - 1 - s]):
                 return False
-        # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^n for every d >= m,
-        # D the lcm of the part's denominators; high[t] is degree m + t
-        part = [c.as_integer_ratio() for c in p.polynomial_part]
-        D = lcm(*[q for _, q in part])
-        C = [c * (D // q) for c, q in part]
-        high = [0] * (max(n, len(C) - 1 + m) - m + 1)
-        for l in range(max(0, m - len(C) + 1), m + 1):
-            terms = C[m - l:]
-            high[:len(terms)] = map(add, high[:len(terms)], map(V[l].__mul__, terms))
-        want = [0] * len(high)
-        if n >= m:
-            want[n - m] = D * Lpow[m]
-        if high != want:
-            return False
     return True
 
 

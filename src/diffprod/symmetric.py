@@ -7,11 +7,12 @@ of all degree-k monomials with repetition.  Power-sum lists hold
 
 Every function takes the node set and runs on integers, building one
 Fraction per returned value.  Each route reads its own scale:
-- the e-list is read off the integer form ns.scaled = (L, b); the
-  e-recurrence for h and Newton's identities run on E_j = L^j e_j, the
-  integers behind that e-list, and give H_k = L^k h_k and P_k = L^k p_k;
-- power_sums and the power-sum recurrence for h read only ns.values and
-  scale them with their own lcm, never ns.scaled or ns.elementary;
+- the e-list, the e-recurrence for h and Newton's identities read the
+  integers E_j = L^j e_j cached as ns.scaled_elementary, built from
+  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
+- power_sums and the power-sum recurrence read only ns.values: the one
+  power kernel, `_power_ladder` (also behind nodes.euler_sums), scales them
+  by their own lcm, never reading ns.scaled or ns.scaled_elementary;
 - the brute-force oracle scales the nodes itself as well: with L the lcm
   of their denominators, it sums the products of the integers a_i*L over
   every multiset, split into a low and a high half of the nodes, and
@@ -34,53 +35,42 @@ if TYPE_CHECKING:
     from .nodes import NodeSet
 
 
-def elementary_all(ns: "NodeSet", kmax: int) -> list[Fraction]:
-    """e[0..kmax] read off the integer coefficients of prod(z + b_i).
+def _check_depth(kmax: int) -> None:
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
 
-    With (L, b) = ns.scaled, E[k] = e_k(b) = L^k e_k, built one root at a
-    time as E[k] += b_i E[k-1]; e_k = 0 for k > m.
-    """
-    L, b = ns.scaled
-    E = [1] + [0] * len(b)
-    for i, bi in enumerate(b, start=1):
-        for k in range(i, 0, -1):
-            E[k] += bi * E[k - 1]
-    return [Fraction(E[k], L**k) if k < len(E) else Fraction(0)
-            for k in range(kmax + 1)]
+
+def elementary_all(ns: "NodeSet", kmax: int) -> list[Fraction]:
+    """e[0..kmax]: e_k = E_k / L^k off ns.scaled_elementary, and e_k = 0
+    for k > m."""
+    _check_depth(kmax)
+    E = ns.scaled_elementary[: kmax + 1]
+    return _unscale(ns.scaled[0], E, 1) + [Fraction(0)] * (kmax + 1 - len(E))
 
 
 def _scaled_elementary(ns: "NodeSet", kmax: int) -> tuple:
-    """(L, [E_1, -E_2, E_3, ...]) for j up to min(kmax, m): L from
-    ns.scaled and E_j = L^j e_j, the integers behind the cached e-list.
-
-    The signs (-1)^(j-1) are the ones both recurrences on e apply.  Only
-    the entries a recurrence of depth kmax reads are converted.
-    """
-    L = ns.scaled[0]
-    signed, Lj = [], 1
-    for j, ej in enumerate(ns.elementary[1 : kmax + 1], start=1):
-        Lj *= L
-        Ej = ej.numerator * (Lj // ej.denominator)
-        signed.append(Ej if j % 2 else -Ej)
-    return L, signed
+    """(L, [E_1, -E_2, E_3, ...]) for j up to min(kmax, m), off the cached
+    E_j with L from ns.scaled: the signs both recurrences on e apply."""
+    E = ns.scaled_elementary[1 : kmax + 1]
+    return ns.scaled[0], [Ej if j % 2 else -Ej for j, Ej in enumerate(E, start=1)]
 
 
-def _scaled_power_sums(values: Sequence, kmax: int) -> tuple:
-    """(L, [P_1, ..., P_kmax]): L the lcm of the denominators of `values`
-    and P_k the sum of the k-th powers of the integers c_i = a_i*L, so
-    that p_k = P_k / L^k."""
+def _power_ladder(terms: Sequence[int], values: Sequence, kmax: int) -> tuple:
+    """(L, [sum t_i c_i^k for k = 0..kmax]): L the lcm of the denominators
+    of `values` and c_i = a_i*L, each integer term multiplied by c_i from
+    one power to the next.  Entry k over L^k is sum t_i a_i^k."""
     L = lcm(*(a.denominator for a in values))
     c = [a.numerator * (L // a.denominator) for a in values]
-    P, powers = [], c
+    sums = [sum(terms)]
     for _ in range(kmax):
-        P.append(sum(powers))
-        powers = list(map(mul, powers, c))
-    return L, P
+        terms = list(map(mul, terms, c))
+        sums.append(sum(terms))
+    return L, sums
 
 
 def _unscale(L: int, scaled: Sequence, first: int) -> list[Fraction]:
-    """[scaled[i] / L^(first + i)], one Fraction per value."""
-    Lpow = accumulate(repeat(L, len(scaled)), mul, initial=L**first)
+    """[scaled[i] / (first * L^i)], one Fraction per value."""
+    Lpow = accumulate(repeat(L, len(scaled)), mul, initial=first)
     return [Fraction(v, Lk) for v, Lk in zip(scaled, Lpow)]
 
 
@@ -88,8 +78,8 @@ def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """[p_1, ..., p_kmax] with p_k the sum of k-th powers of the nodes."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    L, P = _scaled_power_sums(ns.values, kmax)
-    return _unscale(L, P, 1)
+    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, kmax)
+    return _unscale(L, P, L)
 
 
 def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -99,11 +89,12 @@ def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     j > m, run on H_k = L^k h_k and E_j = L^j e_j:
     H_k = sum_j (-1)^(j-1) E_j H_{k-j}.
     """
+    _check_depth(kmax)
     L, signed = _scaled_elementary(ns, kmax)
     H = [1]
     for _ in range(kmax):
         H.append(sum(map(mul, signed, reversed(H))))
-    return _unscale(L, H, 0)
+    return _unscale(L, H, 1)
 
 
 def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -114,13 +105,14 @@ def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     sum that k does not divide is kept as a Fraction, so wrong power sums
     give a wrong h, never a rounded one.
     """
-    L, P = _scaled_power_sums(ns.values, kmax)
+    _check_depth(kmax)
+    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, kmax)
     H = [1]
     for k in range(1, kmax + 1):
         total = sum(map(mul, P, reversed(H)))
         q, r = divmod(total, k)
         H.append(q if r == 0 else Fraction(total, k))
-    return _unscale(L, H, 0)
+    return _unscale(L, H, 1)
 
 
 def _levels(xs: Sequence[int], kmax: int) -> list[list[int]]:
@@ -159,8 +151,7 @@ def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
     its own.  Intended as an oracle for small
     m and k, and kept deliberately independent of both recurrences.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    _check_depth(kmax)
     L = lcm(*(a.denominator for a in ns.values))
     scaled = [a.numerator * (L // a.denominator) for a in ns.values]
     half = len(scaled) // 2
@@ -175,7 +166,7 @@ def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
             for p in left:
                 total += sum(map(p.__mul__, right))
         totals.append(total)
-    return _unscale(L, totals, 0)
+    return _unscale(L, totals, 1)
 
 
 def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -193,4 +184,4 @@ def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
         if k <= len(signed):
             total += k * signed[k - 1]
         P.append(total)
-    return _unscale(L, P, 1)
+    return _unscale(L, P, L)

@@ -86,6 +86,9 @@ class TestFormatting:
     def test_proper_rational(self):
         assert fmt(F(-1, 90)) == "-1/90"
 
+    def test_int(self):
+        assert fmt(5) == "5"
+
     def test_poly_descending(self):
         assert fmt_poly(["2", "-3", "1"]) == "x^2 - 3*x + 2"
         assert fmt_poly(["-1/3", "0", "-1"]) == "-x^2 - 1/3"
@@ -609,20 +612,37 @@ class TestVerifierIndependence:
         assert "newton round trip: NO\n" in out
 
     def test_wrong_scaled_power_sums_fail_verify(self, capsys, monkeypatch):
-        self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
+        # symmetric's own binding of the power kernel: the power sums and
+        # the power-sum route, not euler_sums
+        self.corrupt_scaled(monkeypatch, "_power_ladder",
                             lambda P: [*P[:-1], P[-1] + 1])
         self.verify_fails(capsys, "homogeneous recurrences agree")
 
     def test_indivisible_power_sum_is_not_floored(self, capsys, monkeypatch):
         # On 1 2 3, P_2 = 14 -> 15 makes 2 H_2 = 6*6 + 15 = 51: floor division
-        # would give back the true h_2 = 25 and a false "yes".
-        self.corrupt_scaled(monkeypatch, "_scaled_power_sums",
-                            lambda P: [P[0], P[1] + 1, *P[2:]])
+        # would give back the true h_2 = 25 and a false "yes".  The kernel's
+        # list starts at k = 0, so P_2 is its entry 2.
+        self.corrupt_scaled(monkeypatch, "_power_ladder",
+                            lambda P: [P[0], P[1], P[2] + 1, *P[3:]])
         assert cli.run(["symmetric", "1 2 3", "--kmax", "2"]) == 1
         out = capsys.readouterr().out
         assert "h (elementary recurrence): 1 6 25\n" in out
         assert "h (power-sum recurrence):  1 6 51/2\n" in out
         assert "h paths agree: NO\n" in out
+
+    def test_wrong_power_kernel_at_every_binding_fails_verify(self, capsys, monkeypatch):
+        # One kernel steps the powers of euler_sums (and so of the
+        # decomposition route), of the power sums and of the power-sum route.
+        # Each is compared with a route that never reads it: the h-ladder,
+        # the e-recurrence and Newton's identities.
+        self.corrupt_scaled(monkeypatch, "_power_ladder", lambda P: [*P[:-1], P[-1] + 1])
+        monkeypatch.setattr(nodes, "_power_ladder", symmetric._power_ladder)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "sum matches closed form for n <= nmax",
+            "homogeneous recurrences agree",
+            "newton round trip"}
 
 
 # --- the CLI contract over arbitrary input -------------------------------

@@ -45,7 +45,7 @@ class TestNodeSetNew:
         filled, fresh = nodeset_new([2, 5, 7, 8]), nodeset_new([8, 7, 5, 2])
         before = hash(filled)
         assert filled.products == (-90, 18, -10, 18)
-        assert filled.elementary == (1, 22, 171, 542, 560)
+        assert filled.scaled_elementary == (1, 22, 171, 542, 560)
         assert filled == fresh and hash(filled) == hash(fresh) == before
         assert {fresh: "x"}[filled] == "x"
         assert repr(filled) == repr(fresh)

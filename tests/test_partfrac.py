@@ -123,6 +123,56 @@ class TestReconstruct:
                 [pfd.residues[0] + F(1, 7), *pfd.residues[1:]])
             assert reconstruct(*pfds[:i], wrong, *pfds[i + 1:]) is False
 
+    @staticmethod
+    def with_part(pfd, part):
+        return PartialFractionDecomposition(pfd.power, pfd.poles, part, pfd.residues)
+
+    def test_wrong_middle_coefficient_in_short_part_is_false(self):
+        # Only the largest power's part is multiplied out; a shorter part
+        # must still be its tail.
+        pfds = decompositions(SIX, 12)
+        part = pfds[9].polynomial_part  # [h_3, h_2, h_1, h_0]
+        wrong = self.with_part(pfds[9], [part[0], part[1] + 1, *part[2:]])
+        assert reconstruct(*pfds) is True
+        assert reconstruct(*pfds[:9], wrong, *pfds[10:]) is False
+
+    def test_short_part_longer_or_shorter_than_tail_is_false(self):
+        pfds = decompositions(SIX, 12)
+        part = pfds[9].polynomial_part
+        for changed in ([*part, F(1)], part[:-1], [F(2)]):
+            wrong = self.with_part(pfds[9], changed)
+            assert reconstruct(*pfds[:9], wrong, *pfds[10:]) is False
+        # zero leading coefficients leave the polynomial as it is
+        padded = self.with_part(pfds[9], [*part, F(0)])
+        assert reconstruct(*pfds[:9], padded, *pfds[10:]) is True
+
+    def test_unordered_batch_with_gaps(self):
+        pfds = decompositions(SIX, 11)
+        assert reconstruct(*(pfds[n] for n in (7, 2, 11, 5, 0, 9))) is True
+
+    def test_wrong_largest_part_with_matching_tails_is_false(self):
+        pfds = decompositions(SIX, 10)
+        part = pfds[10].polynomial_part  # [h_4, ..., h_0]
+        wrong = self.with_part(pfds[10], [part[0] + 1, *part[1:]])
+        assert wrong.polynomial_part[2:] == pfds[8].polynomial_part
+        assert reconstruct(pfds[7], pfds[8], wrong) is False
+        assert reconstruct(wrong, pfds[8], pfds[3]) is False
+
+    def test_same_power_different_parts_is_false(self):
+        pfd = decompose(9, SIX)
+        part = pfd.polynomial_part
+        wrong = self.with_part(pfd, [part[0], part[1] - 1, *part[2:]])
+        assert reconstruct(pfd, wrong) is False
+        assert reconstruct(wrong, pfd) is False
+
+    def test_quotient_multiplied_out_once_per_call(self, monkeypatch):
+        # lcm puts a part over one denominator, once per product part * w
+        calls = []
+        true_lcm = partfrac.lcm
+        monkeypatch.setattr(partfrac, "lcm", lambda *a: calls.append(a) or true_lcm(*a))
+        assert reconstruct(*decompositions(SIX, 20)) is True
+        assert len(calls) == 1
+
     def test_different_poles_raise(self):
         with pytest.raises(ValueError):
             reconstruct(decompose(3, SIX), decompose(3, FOUR))

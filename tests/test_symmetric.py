@@ -240,3 +240,10 @@ def test_permutation_invariance(values, rnd):
     assert elementary_all(a, 6) == elementary_all(b, 6)
     assert power_sums(a, 6) == power_sums(b, 6)
     assert homogeneous_brute_force(a, 3) == homogeneous_brute_force(b, 3)
+
+
+@pytest.mark.parametrize("route", [elementary_all, homogeneous_via_elementary,
+                                   homogeneous_via_power_sums, homogeneous_brute_force])
+def test_negative_depth_raises(route):
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        route(ONE_TWO_THREE, -1)
