@@ -31,15 +31,17 @@ from .nodes import (
 )
 from .partfrac import decompose, decompositions, euler_sums_via_decomposition, reconstruct
 from .symmetric import (
+    _power_routes,
     elementary_all,
     homogeneous_brute_force,
     homogeneous_via_elementary,
-    homogeneous_via_power_sums,
     newton_power_from_elementary,
-    power_sums,
 )
 
-# Enumeration cost cap for the brute-force homogeneous oracle.
+# Cap for the brute-force homogeneous oracle: the most multisets of the
+# whole set, C(m+k-1, k), for a k to be compared.  It counts multisets, not
+# the products the oracle forms, which are far fewer since it enumerates
+# each half of the nodes on its own.
 _BRUTE_FORCE_LIMIT = 100_000
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
@@ -242,9 +244,9 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     # E_1..E_min(kmax, m) off ns.scaled_elementary, so off ns.scaled, while
     # the power sums, the power-sum route and the brute-force oracle read
     # only the node values.  So a wrong ns.scaled shows up as a disagreement.
-    p = power_sums(ns, max(kmax, 1))
+    # The power sums and the power-sum route share one power ladder.
+    p, h_p = _power_routes(ns, kmax)
     h_e = homogeneous_via_elementary(ns, kmax)
-    h_p = homogeneous_via_power_sums(ns, kmax)
     h_bf = _brute_force_or_none(ns, kmax)
     newton = newton_power_from_elementary(ns, max(kmax, 1))
     return p, h_e, h_p, h_bf, newton == p

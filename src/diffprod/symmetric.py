@@ -14,11 +14,12 @@ Fraction per returned value.  Each route reads its own scale:
   power kernel, `_power_ladder` (also behind nodes.euler_sums), scales them
   by their own lcm, never reading ns.scaled or ns.scaled_elementary;
 - the brute-force oracle scales the nodes itself as well: with L the lcm
-  of their denominators, it sums the products of the integers a_i*L over
-  every multiset, split into a low and a high half of the nodes, and
-  divides by L^k once.  One call gives h[0..kmax] from one enumeration:
-  each half's products are built level by level once, and every monomial
-  is formed as one low-half product times one high-half product.
+  of their denominators, it splits the integers a_i*L into a low and a
+  high half, sums the products over every multiset of each half, size by
+  size, and divides by L^k once.  One call gives h[0..kmax] from one
+  enumeration: every multiset of each half is formed from one a size
+  smaller by one multiplication, and the halves are combined through
+  their level sums, H_k = sum_s lo_s * hi_(k-s).
 So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.
 """
@@ -106,66 +107,64 @@ def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     give a wrong h, never a rounded one.
     """
     _check_depth(kmax)
-    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, kmax)
+    return _power_routes(ns, kmax)[1]
+
+
+def _power_routes(ns: "NodeSet", kmax: int) -> tuple:
+    """([p_1, ..., p_max(kmax,1)], h[0..kmax] by the power-sum recurrence),
+    both off one power ladder."""
+    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, max(kmax, 1))
     H = [1]
     for k in range(1, kmax + 1):
         total = sum(map(mul, P, reversed(H)))
         q, r = divmod(total, k)
         H.append(q if r == 0 else Fraction(total, k))
-    return _unscale(L, H, 1)
+    return _unscale(L, P, L), _unscale(L, H, 1)
 
 
-def _levels(xs: Sequence[int], kmax: int) -> list[list[int]]:
-    """levels[s] = the products of the size-s multisets of xs, s = 0..kmax.
+def _level_sums(xs: Sequence[int], kmax: int) -> list[int]:
+    """[sum of the products of the size-s multisets of xs, s = 0..kmax].
 
     A multiset of size s with largest index i is one of size s-1 with
     largest index <= i times xs[i], so each product is formed from the level
     below by one multiplication.  groups[i] holds the current level's
-    products whose largest index is i.
+    products whose largest index is i; only the current level is kept.
     """
     groups = [[1] if i == 0 else [] for i in range(len(xs))]
-    levels = [[1]]
+    sums = [1]
     for _ in range(kmax):
         below = []
         for i, x in enumerate(xs):
             below += groups[i]  # the level below, largest index <= i
             groups[i] = list(map(x.__mul__, below))
-        levels.append([p for group in groups for p in group])
-    return levels
+        sums.append(sum(map(sum, groups)))
+    return sums
 
 
 def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """h[0..kmax], each the sum of all degree-k monomials, enumerated
-    multiset by multiset.
+    multiset by multiset within each half of the nodes.
 
     Each node a_i becomes the integer b_i = a_i*L, L the lcm of the node
-    denominators; the sum of the C(m+k-1, k) integer products over all
-    multisets of the b_i is divided by L^k once, so each result is the same
-    value with one normalisation.  The scaled nodes are split into two
-    halves: a multiset of size k is one of size s from the low half and one
-    of size k-s from the high half, and its product is the product of
-    theirs.  Each half's level products for s <= kmax are built once
-    (`_levels`); then for every k and s each low-half product is multiplied
-    by each high-half product (looping over the shorter list) and the
-    results are summed.  So every monomial is still formed and summed on
-    its own.  Intended as an oracle for small
-    m and k, and kept deliberately independent of both recurrences.
+    denominators; the sum of the integer products over all multisets of
+    the b_i is divided by L^k once, so each result is the same value with
+    one normalisation.  The scaled nodes are split into two halves: a
+    multiset of size k is one of size s from the low half and one of size
+    k-s from the high half, and its product is the product of theirs.  So
+    the generating function of the whole set is the product of the halves'
+    (H = H_lo * H_hi), and the sum over size k is sum_s lo[s] * hi[k-s],
+    where lo[s] and hi[s] are the sums over each half's size-s multisets
+    (`_level_sums`).  Every multiset of each half is still formed and
+    summed on its own; only the halves are combined through their sums.
+    Intended as an oracle for small m and k, and kept deliberately
+    independent of both recurrences: it reads only the node values.
     """
     _check_depth(kmax)
     L = lcm(*(a.denominator for a in ns.values))
     scaled = [a.numerator * (L // a.denominator) for a in ns.values]
     half = len(scaled) // 2
-    lo, hi = _levels(scaled[:half], kmax), _levels(scaled[half:], kmax)
-    totals = []
-    for k in range(kmax + 1):
-        total = 0
-        for s in range(k + 1):
-            left, right = lo[s], hi[k - s]
-            if len(left) > len(right):  # fewer, longer sums
-                left, right = right, left
-            for p in left:
-                total += sum(map(p.__mul__, right))
-        totals.append(total)
+    lo, hi = _level_sums(scaled[:half], kmax), _level_sums(scaled[half:], kmax)
+    totals = [sum(map(mul, lo[: k + 1], reversed(hi[: k + 1]))) for k in range(kmax + 1)]
     return _unscale(L, totals, 1)
 
 

@@ -151,8 +151,9 @@ class TestVerbs:
         assert res["agreement"] == {"h_triple": True, "newton_round_trip": True}
 
     def test_brute_force_compares_each_k_under_the_cap(self, capsys):
-        # At m = 8, C(20, 13) = 77520 multisets are enumerated for k = 13,
-        # while C(21, 14) = 116280 is past the cap of 100000.
+        # The cap counts multisets of the whole set, not products formed: at
+        # m = 8, k = 13 has C(20, 13) = 77520 and is compared, while
+        # C(21, 14) = 116280 is past the cap of 100000.
         assert comb(20, 13) <= cli._BRUTE_FORCE_LIMIT < comb(21, 14)
         argv = ["symmetric", "1/2 -3 7/3 5/4 -8/5 2/7 9 -1/6", "--kmax", "14"]
         assert cli.run(argv) == 0
@@ -643,6 +644,51 @@ class TestVerifierIndependence:
             "sum matches closed form for n <= nmax",
             "homogeneous recurrences agree",
             "newton round trip"}
+
+    @staticmethod
+    def wrong_low_half_level_sum(monkeypatch):
+        # The oracle sums each half's levels; only its first call, the low
+        # half, gets a wrong top level.
+        true_level_sums = symmetric._level_sums
+        halves = []
+
+        def wrong(xs, kmax):
+            sums = true_level_sums(xs, kmax)
+            if not halves:
+                sums[-1] += 1
+            halves.append(xs)
+            return sums
+
+        monkeypatch.setattr(symmetric, "_level_sums", wrong)
+
+    def test_wrong_level_sum_fails_brute_force_check(self, capsys, monkeypatch):
+        self.wrong_low_half_level_sum(monkeypatch)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "homogeneous recurrences match brute force"}
+
+    def test_wrong_level_sum_fails_symmetric(self, capsys, monkeypatch):
+        self.wrong_low_half_level_sum(monkeypatch)
+        assert cli.run(["symmetric", "1 2 3", "--kmax", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "h paths agree: NO\n" in out
+        assert "newton round trip: yes\n" in out
+
+    def test_brute_force_reads_only_node_values(self, monkeypatch):
+        # The oracle never reads the recurrences' inputs: the cached integer
+        # forms and the power kernel.
+        values = ["1/2", "-3", "7/3", "4", "-5/6"]
+        expected = symmetric.homogeneous_via_elementary(nodeset_new(values), 9)
+
+        def unread(*args):
+            raise AssertionError("the oracle read a recurrence's input")
+
+        monkeypatch.setattr(nodes.NodeSet, "scaled", property(unread))
+        monkeypatch.setattr(nodes.NodeSet, "scaled_elementary", property(unread))
+        monkeypatch.setattr(symmetric, "_power_ladder", unread)
+        monkeypatch.setattr(nodes, "_power_ladder", unread)
+        assert symmetric.homogeneous_brute_force(nodeset_new(values), 9) == expected
 
 
 # --- the CLI contract over arbitrary input -------------------------------

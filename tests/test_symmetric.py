@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diffprod import (
+    cli,
     elementary_all,
     homogeneous_brute_force,
     homogeneous_via_elementary,
@@ -151,6 +152,12 @@ class TestBruteForce:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             homogeneous_brute_force(ONE_TWO_THREE, -1)
+
+    def test_largest_k_under_the_cap(self):
+        # C(447, 2) multisets at m = 3, k = 445: the top k the CLI compares.
+        assert comb(447, 2) <= cli._BRUTE_FORCE_LIMIT < comb(448, 2)
+        ns = nodeset_new(["1/2", "-3", "7/3"])
+        assert homogeneous_brute_force(ns, 445) == homogeneous_via_elementary(ns, 445)
 
     @given(st.lists(rationals, min_size=1, max_size=6, unique=True), st.booleans(),
            st.integers(min_value=0, max_value=6))
