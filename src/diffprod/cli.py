@@ -39,9 +39,9 @@ from .symmetric import (
 )
 
 # Cap for the brute-force homogeneous oracle: the most multisets of the
-# whole set, C(m+k-1, k), for a k to be compared.  It counts multisets, not
-# the products the oracle forms, which are far fewer since it enumerates
-# each half of the nodes on its own.
+# whole set, C(m+k-1, k), for a k to be compared.  The oracle adds the
+# nodes one at a time, m*k products for h_0..h_k, so the cap no longer
+# bounds its cost; it is kept so that the same k are compared.
 _BRUTE_FORCE_LIMIT = 100_000
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
@@ -51,7 +51,7 @@ MAX_NODES = 1000
 MAX_FILE_BYTES = 1 << 20
 
 # A denominator must be nonzero, so "1/0" is a bad token like any other.
-_TOKEN = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?\Z")
+_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\Z")
 
 
 class ParseError(ValueError):
@@ -91,10 +91,12 @@ def parse_nodes(text: str) -> NodeSet:
         raise LimitExceeded(f"node count {len(tokens)}", MAX_NODES)
     values = []
     for pos, tok in enumerate(tokens):
-        if not _TOKEN.match(tok):
+        match = _TOKEN.match(tok)
+        if not match:
             raise ParseError(pos, tok)
+        p, q = match.groups()
         try:
-            values.append(Fraction(tok))
+            values.append(Fraction(int(p), int(q or 1)))
         except ValueError:  # more digits than int() converts
             raise ParseError(pos, tok) from None
     return nodeset_new(values)
@@ -167,11 +169,19 @@ def _run_weights(ns: NodeSet, n: int) -> dict:
     }
 
 
+def _int_pair(text: str) -> tuple[int, int]:
+    """(p, q) of a "p" or "p/q" that `fmt` wrote."""
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
+
+
 def _print_weights(res: dict) -> None:
     print(f"nodes (m={res['m']}): {' '.join(res['nodes'])}")
     print("node  signed A  display term")
     for row in res["rows"]:
-        term = row["sign"] * Fraction(row["numerator"]) / Fraction(row["magnitude"])
+        p, q = _int_pair(row["numerator"])
+        r, s = _int_pair(row["magnitude"])
+        term = Fraction(row["sign"] * p * s, q * r)
         sign = "" if term < 0 else "+"
         print(
             f"{row['node']:>6}  {row['signed_denominator']:>10}  {sign}{fmt(term)}"
@@ -254,7 +264,7 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
 
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
-    triple = all(a == b and bf in (None, a) for a, b, bf in zip(h_e, h_p, h_bf))
+    triple = all(a == b and (bf is None or bf == a) for a, b, bf in zip(h_e, h_p, h_bf))
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
@@ -299,7 +309,7 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     check("difference products match derivative route",
           products == diff_products_via_derivative(ns))
     check("sign parity (-1)^(m-1-i)",
-          all((-1) ** (ns.m - 1 - i) * A > 0 for i, A in enumerate(products)))
+          all((-1) ** (ns.m - 1 - i) * A.numerator > 0 for i, A in enumerate(products)))
     sums = euler_sums(ns, max(nmax, ns.m - 2))
     check("sum is 0 for n <= m-2", all(s == 0 for s in sums[: ns.m - 1]))
     check("sum matches closed form for n <= nmax",
@@ -312,7 +322,7 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
     check("homogeneous recurrences agree", h_e == h_p)
     check("homogeneous recurrences match brute force",
-          all(bf in (None, h) for bf, h in zip(h_bf, h_e)))
+          all(bf is None or bf == h for bf, h in zip(h_bf, h_e)))
     check("newton round trip", newton_ok)
 
     return {

@@ -43,9 +43,10 @@ class NegativeExponent(ValueError):
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
 
-    The integer form, the difference products and the integers behind the
-    elementary values are computed on first use and kept on the instance,
-    so each is built once per node set.  The cached attributes are not fields: equality and
+    The integer form, the difference products, the integers behind the
+    elementary values and the ladder of complete homogeneous values are
+    computed on first use and kept on the instance, so each is built once
+    per node set.  The cached attributes are not fields: equality and
     hashing see only `values`.
     """
 
@@ -75,6 +76,14 @@ class NodeSet:
             for k in range(i, 0, -1):
                 E[k] += bi * E[k - 1]
         return tuple(E)
+
+    @cached_property
+    def scaled_homogeneous(self) -> list:
+        """[H_0, H_1, ...], H_k = L^k h_k for (L, b) = scaled, as deep as any
+        caller has asked so far.  `symmetric` extends it in place by the
+        e-recurrence on scaled_elementary and hands out slices, so each H_k
+        is computed once per node set."""
+        return [1]
 
 
 @dataclass(frozen=True)
@@ -142,18 +151,20 @@ def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     power sums of the nodes weighted by 1/A_i, in O(m^2 + nmax*m) integer
     operations."""
     _check_exponent(nmax)
-    return _weighted_power_sums([1 / A for A in ns.products], ns.values, nmax)
+    weights = [(A.denominator, A.numerator) for A in ns.products]
+    return _weighted_power_sums(weights, ns.values, nmax)
 
 
 def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> list[Fraction]:
     """[sum w_i a_i^n for n = 0..nmax] (0**0 = 1) over m >= 1 weights w_i
-    and rationals a_i.
+    and rationals a_i, each weight given as an integer pair (numerator,
+    nonzero denominator of either sign).
 
     The weights go over one denominator D as integers N_i; the power kernel
     of `symmetric` gives L, the values' own lcm, and sum N_i (a_i*L)^n,
     which is normalised once over D L^n."""
-    terms, D = common_denominator_form(weights)
-    L, sums = _power_ladder(terms, values, nmax)
+    D = lcm(*(d for _, d in weights))
+    L, sums = _power_ladder([n * (D // d) for n, d in weights], values, nmax)
     return _unscale(L, sums, D)
 
 
@@ -172,9 +183,8 @@ def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:
     Returns (numerators, denominator) with sum(numerators)/denominator equal
     to the sum of the inputs.
     """
-    fracs = [Fraction(f) for f in fractions]
-    den = lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    den = lcm(*(f.denominator for f in fractions))
+    nums = [f.numerator * (den // f.denominator) for f in fractions]
     return nums, den
 
 

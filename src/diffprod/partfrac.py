@@ -1,10 +1,12 @@
 """Partial fraction decomposition of x^n / prod(x - a_i) over distinct poles.
 
-Residues come straight from the difference products; the polynomial part of
-an improper fraction is built from the ladder of complete homogeneous
-values rather than by long division, so its coefficients are
+Residues come straight from the difference products, stepped as integer
+numerators and denominators with one Fraction per residue; the polynomial
+part of an improper fraction is built from the ladder of complete
+homogeneous values rather than by long division, so its coefficients are
 h_0 (leading) down to h_{n-m} (constant).  `decompositions` slices the
-parts for every n up to nmax from one ladder.
+parts for every n up to nmax from one ladder, and `decompose` builds the
+one list it returns through the same helper.
 
 `reconstruct` proves the identity by interpolation on integers of its own,
 reading nothing the decomposition was built from: with L the lcm of the
@@ -19,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm, prod
+from math import lcm
 from operator import add, attrgetter, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
-from .nodes import NegativeExponent, NodeSet, _weighted_power_sums, nodeset_new
+from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
 from .symmetric import homogeneous_via_elementary
 
 
@@ -42,22 +44,14 @@ class PartialFractionDecomposition:
 def decompositions(poles: NodeSet, nmax: int) -> list[PartialFractionDecomposition]:
     """decompose(n, poles) for n = 0..nmax, from one h-ladder.
 
-    residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1, each
-    multiplied by a_i from one n to the next.  The polynomial part is empty
-    for n < m and is the reversed ladder slice h_0..h_{n-m} otherwise.
+    residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1, their
+    integer numerators and denominators multiplied by those of a_i from
+    one n to the next.  The polynomial part is empty for n < m and is the
+    reversed ladder slice h_0..h_{n-m} otherwise.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
-    m = poles.m
-    h = homogeneous_via_elementary(poles, nmax - m) if nmax >= m else []
-    residues = [1 / A for A in poles.products]
-    out = []
-    for n in range(nmax + 1):
-        # ascending: constant term h_{n-m}, leading h_0 = 1
-        part = h[n - m::-1] if n >= m else []
-        out.append(PartialFractionDecomposition(n, poles, part, residues))
-        residues = list(map(mul, residues, poles.values))
-    return out
+    return _decompositions(poles, range(nmax + 1))
 
 
 def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
@@ -66,7 +60,33 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
     residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1.  The
     polynomial part is empty for n < m and has degree n - m otherwise.
     """
-    return decompositions(poles, n)[n]
+    if n < 0:
+        raise NegativeExponent(n)
+    return _decompositions(poles, [n])[0]
+
+
+def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition]:
+    """The decompositions of x^n for n in `powers` (ascending), from one
+    h-ladder.  Each residue a_i^n / A_i is kept as an integer pair, the
+    numerator and denominator of 1/A_i times those of a_i^n, stepped by
+    a_i^gap from one power to the next, and becomes one Fraction per n."""
+    m = poles.m
+    h = homogeneous_via_elementary(poles, powers[-1] - m) if powers[-1] >= m else []
+    tops = [a.numerator for a in poles.values]
+    bottoms = [a.denominator for a in poles.values]
+    nums = [A.denominator for A in poles.products]
+    dens = [A.numerator for A in poles.products]
+    out, last = [], 0
+    for n in powers:
+        gap, last = n - last, n
+        if gap:
+            nums = list(map(mul, nums, map(pow, tops, repeat(gap))))
+            dens = list(map(mul, dens, map(pow, bottoms, repeat(gap))))
+        # ascending: constant term h_{n-m}, leading h_0 = 1
+        part = h[n - m::-1] if n >= m else []
+        residues = list(map(Fraction, nums, dens))
+        out.append(PartialFractionDecomposition(n, poles, part, residues))
+    return out
 
 
 def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecomposition) -> bool:
@@ -89,12 +109,12 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     poles = pfd.poles
     if any(p.poles != poles for p in more):
         raise ValueError("decompositions over different poles")
-    pfds = (pfd, *more)
+    pfds = sorted((pfd, *more), key=attrgetter("power"))
     m = poles.m
     L, b, W = node_polynomial(poles.values)
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
-    top = max(pfds, key=attrgetter("power"))
+    top = pfds[-1]
     N = top.power
     Lpow = list(accumulate(repeat(L, max(N, m)), mul, initial=1))
     # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^N for every d >= m, D the
@@ -115,16 +135,20 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     quotient = top.polynomial_part[:max(N - m + 1, 0)]  # the rest is zero
     dW = derivative(W)
     slopes = [evaluate(dW, bj) for bj in b]
+    bn, last = [1] * m, 0  # b_j^last, stepped across the ascending powers
     for p in pfds:
         n = p.power
         tail, part = quotient[N - n:], p.polynomial_part
         if len(p.residues) != m or part[:len(tail)] != tail or any(part[len(tail):]):
             return False
+        if n > last:
+            bn = list(map(mul, bn, map(pow, b, repeat(n - last))))
+            last = n
         # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
         s = min(n, m - 1)
-        for r, bj, slope in zip(p.residues, b, slopes):
-            if (r.numerator * slope * Lpow[n - s]
-                    != pow(bj, n) * r.denominator * Lpow[m - 1 - s]):
+        left, right = Lpow[n - s], Lpow[m - 1 - s]
+        for r, bjn, slope in zip(p.residues, bn, slopes):
+            if r.numerator * slope * left != bjn * r.denominator * right:
                 return False
     return True
 
@@ -138,16 +162,24 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
     a_i^n / A_i for the full set, and the remaining term is the last
     node's own fraction x^n / prod(x - a_i).  So S_n is a power sum of the
     nodes with weights 1/(A'_i (a_i - x)) and 1/prod(x - a_i), A'_i the
-    products of the (m-1)-node set, which is built once for all n.  The
-    powers are stepped by the same integer kernel as `euler_sums`, whose
-    closed-form check fails if that kernel is wrong.
+    products of the (m-1)-node set, which is built once for all n.  Each
+    weight is formed as an integer numerator and denominator from those of
+    A'_i, a_i and x.  The powers are stepped by the same integer kernel as
+    `euler_sums`, whose closed-form check fails if that kernel is wrong.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
     if ns.m < 2:
         raise NodeSetTooSmall("need at least two nodes")
     x = ns.values[-1]
-    rest = nodeset_new(ns.values[:-1])
-    weights = [1 / (A * (a - x)) for A, a in zip(rest.products, rest.values)]
-    last = 1 / prod((x - a for a in rest.values), start=Fraction(1))
-    return _weighted_power_sums([*weights, last], ns.values, nmax)
+    rest = NodeSet(ns.values[:-1])  # still ascending and distinct
+    # With x = s/t and a_i = s_i/t_i, a_i - x = d_i / (t_i t) for the
+    # integer d_i = s_i t - s t_i.
+    s, t = x.numerator, x.denominator
+    weights, top, bottom = [], 1, 1
+    for A, a in zip(rest.products, rest.values):
+        d = a.numerator * t - s * a.denominator
+        weights.append((A.denominator * a.denominator * t, A.numerator * d))
+        top *= a.denominator * t
+        bottom *= -d
+    return _weighted_power_sums([*weights, (top, bottom)], ns.values, nmax)

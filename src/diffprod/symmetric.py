@@ -9,17 +9,18 @@ Every function takes the node set and runs on integers, building one
 Fraction per returned value.  Each route reads its own scale:
 - the e-list, the e-recurrence for h and Newton's identities read the
   integers E_j = L^j e_j cached as ns.scaled_elementary, built from
-  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
+  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k,
+  and the H_k are kept as ns.scaled_homogeneous, each computed once per
+  node set;
 - power_sums and the power-sum recurrence read only ns.values: the one
   power kernel, `_power_ladder` (also behind nodes.euler_sums), scales them
   by their own lcm, never reading ns.scaled or ns.scaled_elementary;
 - the brute-force oracle scales the nodes itself as well: with L the lcm
-  of their denominators, it splits the integers a_i*L into a low and a
-  high half, sums the products over every multiset of each half, size by
-  size, and divides by L^k once.  One call gives h[0..kmax] from one
-  enumeration: every multiset of each half is formed from one a size
-  smaller by one multiplication, and the halves are combined through
-  their level sums, H_k = sum_s lo_s * hi_(k-s).
+  of their denominators, it takes the integers a_i*L one at a time.  Every
+  multiset of X + {x} splits by how many times it takes x, so
+  h_k(X + {x}) = sum_j x^j h_(k-j)(X), which by Horner's rule in x is
+  H_k += x H_(k-1) for k ascending; one call gives h[0..kmax] in m*kmax
+  products and divides by L^k once.
 So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.
 """
@@ -72,7 +73,7 @@ def _power_ladder(terms: Sequence[int], values: Sequence, kmax: int) -> tuple:
 def _unscale(L: int, scaled: Sequence, first: int) -> list[Fraction]:
     """[scaled[i] / (first * L^i)], one Fraction per value."""
     Lpow = accumulate(repeat(L, len(scaled)), mul, initial=first)
-    return [Fraction(v, Lk) for v, Lk in zip(scaled, Lpow)]
+    return list(map(Fraction, scaled, Lpow))
 
 
 def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -91,11 +92,14 @@ def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     H_k = sum_j (-1)^(j-1) E_j H_{k-j}.
     """
     _check_depth(kmax)
-    L, signed = _scaled_elementary(ns, kmax)
-    H = [1]
-    for _ in range(kmax):
-        H.append(sum(map(mul, signed, reversed(H))))
-    return _unscale(L, H, 1)
+    # The ladder is kept on the node set; a deeper kmax extends it where the
+    # last call stopped, so each H_k is computed once per node set.
+    H = ns.scaled_homogeneous
+    if len(H) <= kmax:
+        _, signed = _scaled_elementary(ns, kmax)
+        for _ in range(len(H), kmax + 1):
+            H.append(sum(map(mul, signed, reversed(H))))
+    return _unscale(ns.scaled[0], H[: kmax + 1], 1)
 
 
 def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -122,50 +126,39 @@ def _power_routes(ns: "NodeSet", kmax: int) -> tuple:
     return _unscale(L, P, L), _unscale(L, H, 1)
 
 
-def _level_sums(xs: Sequence[int], kmax: int) -> list[int]:
-    """[sum of the products of the size-s multisets of xs, s = 0..kmax].
+def _complete_sums(xs: Sequence[int], kmax: int) -> list[int]:
+    """[h_k(xs), k = 0..kmax] for integers xs: the sum of the products of the
+    size-k multisets, the nodes added one at a time.
 
-    A multiset of size s with largest index i is one of size s-1 with
-    largest index <= i times xs[i], so each product is formed from the level
-    below by one multiplication.  groups[i] holds the current level's
-    products whose largest index is i; only the current level is kept.
+    A multiset of X + {x} is one of X with x taken j times, so
+    h_k(X + {x}) = sum_j x^j h_(k-j)(X) = h_k(X) + x h_(k-1)(X + {x}):
+    updating k ascending in place, H_(k-1) already counts x.
     """
-    groups = [[1] if i == 0 else [] for i in range(len(xs))]
-    sums = [1]
-    for _ in range(kmax):
-        below = []
-        for i, x in enumerate(xs):
-            below += groups[i]  # the level below, largest index <= i
-            groups[i] = list(map(x.__mul__, below))
-        sums.append(sum(map(sum, groups)))
-    return sums
+    H = [1] + [0] * kmax
+    for x in xs:
+        for k in range(1, kmax + 1):
+            H[k] += x * H[k - 1]
+    return H
 
 
 def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
-    """h[0..kmax], each the sum of all degree-k monomials, enumerated
-    multiset by multiset within each half of the nodes.
+    """h[0..kmax], each the sum of all degree-k monomials in the nodes,
+    summed node by node from the definition.
 
     Each node a_i becomes the integer b_i = a_i*L, L the lcm of the node
-    denominators; the sum of the integer products over all multisets of
-    the b_i is divided by L^k once, so each result is the same value with
-    one normalisation.  The scaled nodes are split into two halves: a
-    multiset of size k is one of size s from the low half and one of size
-    k-s from the high half, and its product is the product of theirs.  So
-    the generating function of the whole set is the product of the halves'
-    (H = H_lo * H_hi), and the sum over size k is sum_s lo[s] * hi[k-s],
-    where lo[s] and hi[s] are the sums over each half's size-s multisets
-    (`_level_sums`).  Every multiset of each half is still formed and
-    summed on its own; only the halves are combined through their sums.
-    Intended as an oracle for small m and k, and kept deliberately
-    independent of both recurrences: it reads only the node values.
+    denominators.  The sum over the multisets of the b_i is grouped by how
+    often each node appears: it is the coefficient of z^k in
+    prod 1/(1 - b_i z), multiplied out one node at a time
+    (`_complete_sums`), m*kmax products in all.  Each sum is divided by L^k
+    once, so each result is the same value with one normalisation.
+    Intended as an oracle, and kept deliberately independent of both
+    recurrences: it reads only the node values, never the cached integer
+    forms, the e-list or the power sums.
     """
     _check_depth(kmax)
     L = lcm(*(a.denominator for a in ns.values))
     scaled = [a.numerator * (L // a.denominator) for a in ns.values]
-    half = len(scaled) // 2
-    lo, hi = _level_sums(scaled[:half], kmax), _level_sums(scaled[half:], kmax)
-    totals = [sum(map(mul, lo[: k + 1], reversed(hi[: k + 1]))) for k in range(kmax + 1)]
-    return _unscale(L, totals, 1)
+    return _unscale(L, _complete_sums(scaled, kmax), 1)
 
 
 def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -72,6 +73,17 @@ class TestParseNodes:
         f = tmp_path / "nodes.txt"
         f.write_text("2 5\n7, 8\n", encoding="utf-8")
         assert parse_nodes(f"@{f}").values == (2, 5, 7, 8)
+
+    @given(st.booleans(), st.integers(0, 10**30), st.integers(1, 10**30),
+           st.integers(0, 3), st.sampled_from(["", "+", "-"]))
+    def test_token_value(self, integer, p, q, zeros, sign):
+        tok = f"{sign}{p}" if integer else f"{sign}{p}/{'0' * zeros}{q}"
+        assert parse_nodes(tok).values == (F(tok),)
+
+    def test_more_digits_than_int_converts_in_a_denominator(self):
+        with pytest.raises(ParseError) as exc:
+            parse_nodes("1 1/" + "7" * 5000)
+        assert exc.value.position == 1
 
     def test_round_trip(self):
         ns = nodeset_new([F(-3), F(1, 2), F(7, 3)])
@@ -268,6 +280,31 @@ class TestVerbs:
         assert len({id(ns) for ns in seen}) == len(seen)
         assert sum(ns.m == 4 for ns in seen) == 1
         assert len(seen) == (2 if verb == "verify" else 1)
+
+    @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
+    def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
+        # The closed forms (to k = nmax - m + 1), the decompositions' parts
+        # (to nmax - m) and the h checks (to min(nmax, 8)) slice one
+        # e-recurrence ladder: it is made once per node set, and each H_k is
+        # appended once, up to the deepest k asked for.
+        made, appended = [], []
+
+        class CountingLadder(list):
+            def append(self, value):
+                appended.append(value)
+                super().append(value)
+
+        def ladder(ns):
+            made.append(ns)
+            return CountingLadder([1])
+
+        counting = functools.cached_property(ladder)
+        counting.__set_name__(nodes.NodeSet, "scaled_homogeneous")
+        monkeypatch.setattr(nodes.NodeSet, "scaled_homogeneous", counting)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
+        assert code == 0 and res["all_identities_hold"]
+        assert [ns.m for ns in made] == [4]
+        assert len(appended) == deepest
 
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full
@@ -561,22 +598,28 @@ class TestVerifierIndependence:
 
     @staticmethod
     def wrong_last_weight(monkeypatch):
-        # prod builds only the last node's weight 1/prod(x - a_i)
-        true_prod = partfrac.prod
-        monkeypatch.setattr(partfrac, "prod", lambda *a, **kw: 2 * true_prod(*a, **kw))
+        # the route's last weight is the last node's 1/prod(x - a_i), and
+        # partfrac's binding of the kernel serves only the route
+        true_kernel = partfrac._weighted_power_sums
+
+        def wrong(weights, values, nmax):
+            top, bottom = weights[-1]
+            return true_kernel([*weights[:-1], (2 * top, bottom)], values, nmax)
+
+        monkeypatch.setattr(partfrac, "_weighted_power_sums", wrong)
 
     @staticmethod
     def wrong_rest_products(monkeypatch):
         # the (m-1)-node set is the only node set the route builds
-        true_nodeset_new = partfrac.nodeset_new
+        true_nodeset = partfrac.NodeSet
 
         def wrong(values):
-            rest = true_nodeset_new(values)
+            rest = true_nodeset(values)
             A = rest.products
             rest.__dict__["products"] = (*A[:-1], A[-1] + 1)
             return rest
 
-        monkeypatch.setattr(partfrac, "nodeset_new", wrong)
+        monkeypatch.setattr(partfrac, "NodeSet", wrong)
 
     @pytest.mark.parametrize("corrupt", [wrong_last_weight, wrong_rest_products])
     def test_wrong_route_input_fails_decomposition_route(self, corrupt, capsys, monkeypatch):
@@ -646,30 +689,27 @@ class TestVerifierIndependence:
             "newton round trip"}
 
     @staticmethod
-    def wrong_low_half_level_sum(monkeypatch):
-        # The oracle sums each half's levels; only its first call, the low
-        # half, gets a wrong top level.
-        true_level_sums = symmetric._level_sums
-        halves = []
+    def wrong_top_level_sum(monkeypatch):
+        # The oracle's integer kernel sums the products of each size's
+        # multisets; its top size gets a wrong sum.
+        true_complete_sums = symmetric._complete_sums
 
         def wrong(xs, kmax):
-            sums = true_level_sums(xs, kmax)
-            if not halves:
-                sums[-1] += 1
-            halves.append(xs)
+            sums = true_complete_sums(xs, kmax)
+            sums[-1] += 1
             return sums
 
-        monkeypatch.setattr(symmetric, "_level_sums", wrong)
+        monkeypatch.setattr(symmetric, "_complete_sums", wrong)
 
     def test_wrong_level_sum_fails_brute_force_check(self, capsys, monkeypatch):
-        self.wrong_low_half_level_sum(monkeypatch)
+        self.wrong_top_level_sum(monkeypatch)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
             "homogeneous recurrences match brute force"}
 
     def test_wrong_level_sum_fails_symmetric(self, capsys, monkeypatch):
-        self.wrong_low_half_level_sum(monkeypatch)
+        self.wrong_top_level_sum(monkeypatch)
         assert cli.run(["symmetric", "1 2 3", "--kmax", "3"]) == 1
         out = capsys.readouterr().out
         assert "h paths agree: NO\n" in out

@@ -94,6 +94,12 @@ class TestDecompositions:
         with pytest.raises(NegativeExponent):
             decompositions(FOUR, -1)
 
+    @given(node_sets, st.integers(min_value=0, max_value=13))
+    def test_decompose_is_the_batch_entry(self, ns, n):
+        # decompose raises each residue to the power n at once; the batch
+        # steps it by one power at a time
+        assert decompose(n, ns) == decompositions(ns, n)[n]
+
 
 class TestReconstruct:
     def test_two_pole_example(self):

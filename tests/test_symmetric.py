@@ -178,7 +178,8 @@ class TestBruteForce:
     @given(st.lists(rationals, min_size=1, max_size=6, unique=True),
            st.integers(min_value=0, max_value=8))
     def test_halves_match_plain_enumeration(self, values, kmax):
-        # The whole multiset enumeration on the scaled integers, unsplit.
+        # Every multiset of the scaled integers enumerated on its own, against
+        # the oracle's node-by-node sums.
         ns = nodeset_new(values)
         L = lcm(*(a.denominator for a in ns.values))
         b = [a.numerator * (L // a.denominator) for a in ns.values]
