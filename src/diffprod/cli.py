@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .nodes import (
     DuplicateNode,
@@ -37,12 +37,6 @@ from .symmetric import (
     homogeneous_via_elementary,
     newton_power_from_elementary,
 )
-
-# Cap for the brute-force homogeneous oracle: the most multisets of the
-# whole set, C(m+k-1, k), for a k to be compared.  The oracle adds the
-# nodes one at a time, m*k products for h_0..h_k, so the cap no longer
-# bounds its cost; it is kept so that the same k are compared.
-_BRUTE_FORCE_LIMIT = 100_000
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
 # --kmax, the most nodes in a set, and the largest @file in bytes.
@@ -233,38 +227,30 @@ def _print_decompose(res: dict) -> None:
     print(f"reconstruction check: {'ok' if dec['reconstructed'] else 'FAILED'}")
 
 
-def _brute_force_or_none(ns: NodeSet, kmax: int) -> list:
-    """h[0..kmax] by brute force up to the largest k whose multiset count
-    C(m+k-1, k) is within _BRUTE_FORCE_LIMIT, then None.  The count never
-    decreases as k grows, so these are exactly the k under the cap."""
-    top = 0
-    while top < kmax and comb(ns.m + top, top + 1) <= _BRUTE_FORCE_LIMIT:
-        top += 1
-    return homogeneous_brute_force(ns, top) + [None] * (kmax - top)
-
-
 def _homogeneous_checks(ns: NodeSet, kmax: int):
     """The independent routes to h_0..h_kmax and Newton's round trip.
 
     Returns p_1..p_max(kmax,1), h by the e-recurrence, h by the power-sum
-    recurrence, h by brute force (None where it was skipped), and whether
-    Newton's identities give back the direct power sums.
+    recurrence, h by brute force, and whether Newton's identities give
+    back the direct power sums.
     """
     # Each route picks its own scale: the e-route and Newton read
     # E_1..E_min(kmax, m) off ns.scaled_elementary, so off ns.scaled, while
     # the power sums, the power-sum route and the brute-force oracle read
     # only the node values.  So a wrong ns.scaled shows up as a disagreement.
-    # The power sums and the power-sum route share one power ladder.
+    # The power sums and the power-sum route share one power ladder.  The
+    # closed forms and the decompositions' parts take h from the oracle's
+    # kernel, so here the e-recurrence is what checks that kernel.
     p, h_p = _power_routes(ns, kmax)
     h_e = homogeneous_via_elementary(ns, kmax)
-    h_bf = _brute_force_or_none(ns, kmax)
+    h_bf = homogeneous_brute_force(ns, kmax)
     newton = newton_power_from_elementary(ns, max(kmax, 1))
     return p, h_e, h_p, h_bf, newton == p
 
 
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
-    triple = all(a == b and (bf is None or bf == a) for a, b, bf in zip(h_e, h_p, h_bf))
+    triple = h_e == h_p == h_bf
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
@@ -274,7 +260,7 @@ def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
             "p": [fmt(v) for v in p],
             "h_via_elementary": [fmt(v) for v in h_e],
             "h_via_power_sums": [fmt(v) for v in h_p],
-            "h_brute_force": [None if v is None else fmt(v) for v in h_bf],
+            "h_brute_force": [fmt(v) for v in h_bf],
         },
         "agreement": {
             "h_triple": triple,
@@ -290,10 +276,7 @@ def _print_symmetric(res: dict) -> None:
     print(f"p: {' '.join(t['p'])}")
     print(f"h (elementary recurrence): {' '.join(t['h_via_elementary'])}")
     print(f"h (power-sum recurrence):  {' '.join(t['h_via_power_sums'])}")
-    print(
-        "h (brute force):           "
-        + " ".join("-" if v is None else v for v in t["h_brute_force"])
-    )
+    print(f"h (brute force):           {' '.join(t['h_brute_force'])}")
     agree = res["agreement"]
     print(f"h paths agree: {'yes' if agree['h_triple'] else 'NO'}")
     print(f"newton round trip: {'yes' if agree['newton_round_trip'] else 'NO'}")
@@ -321,8 +304,7 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
 
     _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
     check("homogeneous recurrences agree", h_e == h_p)
-    check("homogeneous recurrences match brute force",
-          all(bf is None or bf == h for bf, h in zip(h_bf, h_e)))
+    check("homogeneous recurrences match brute force", h_bf == h_e)
     check("newton round trip", newton_ok)
 
     return {

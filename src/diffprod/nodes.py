@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exactpoly import derivative, evaluate, node_polynomial
-from .symmetric import _power_ladder, _unscale, homogeneous_via_elementary
+from .symmetric import _power_ladder, _unscale, homogeneous_brute_force
 
 
 class EmptyNodeSet(ValueError):
@@ -43,11 +43,10 @@ class NegativeExponent(ValueError):
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
 
-    The integer form, the difference products, the integers behind the
-    elementary values and the ladder of complete homogeneous values are
-    computed on first use and kept on the instance, so each is built once
-    per node set.  The cached attributes are not fields: equality and
-    hashing see only `values`.
+    The integer form, the difference products and the integers behind the
+    elementary values are computed on first use and kept on the instance,
+    so each is built once per node set.  The cached attributes are not
+    fields: equality and hashing see only `values`.
     """
 
     values: tuple
@@ -76,14 +75,6 @@ class NodeSet:
             for k in range(i, 0, -1):
                 E[k] += bi * E[k - 1]
         return tuple(E)
-
-    @cached_property
-    def scaled_homogeneous(self) -> list:
-        """[H_0, H_1, ...], H_k = L^k h_k for (L, b) = scaled, as deep as any
-        caller has asked so far.  `symmetric` extends it in place by the
-        e-recurrence on scaled_elementary and hands out slices, so each H_k
-        is computed once per node set."""
-        return [1]
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     m = ns.m
     if nmax <= m - 2:
         return [Fraction(0)] * (nmax + 1)
-    return [Fraction(0)] * (m - 1) + homogeneous_via_elementary(ns, nmax - m + 1)
+    return [Fraction(0)] * (m - 1) + homogeneous_brute_force(ns, nmax - m + 1)
 
 
 def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:

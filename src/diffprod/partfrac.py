@@ -2,11 +2,11 @@
 
 Residues come straight from the difference products, stepped as integer
 numerators and denominators with one Fraction per residue; the polynomial
-part of an improper fraction is built from the ladder of complete
-homogeneous values rather than by long division, so its coefficients are
-h_0 (leading) down to h_{n-m} (constant).  `decompositions` slices the
-parts for every n up to nmax from one ladder, and `decompose` builds the
-one list it returns through the same helper.
+part of an improper fraction is built from the complete homogeneous values
+of `homogeneous_brute_force` rather than by long division, so its
+coefficients are h_0 (leading) down to h_{n-m} (constant).
+`decompositions` slices the parts for every n up to nmax from one h list,
+and `decompose` builds the one list it returns through the same helper.
 
 `reconstruct` proves the identity by interpolation on integers of its own,
 reading nothing the decomposition was built from: with L the lcm of the
@@ -26,7 +26,7 @@ from operator import add, attrgetter, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
 from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
-from .symmetric import homogeneous_via_elementary
+from .symmetric import homogeneous_brute_force
 
 
 class NodeSetTooSmall(ValueError):
@@ -42,12 +42,12 @@ class PartialFractionDecomposition:
 
 
 def decompositions(poles: NodeSet, nmax: int) -> list[PartialFractionDecomposition]:
-    """decompose(n, poles) for n = 0..nmax, from one h-ladder.
+    """decompose(n, poles) for n = 0..nmax, from one h list.
 
     residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1, their
     integer numerators and denominators multiplied by those of a_i from
     one n to the next.  The polynomial part is empty for n < m and is the
-    reversed ladder slice h_0..h_{n-m} otherwise.
+    reversed slice h_0..h_{n-m} otherwise.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
@@ -67,11 +67,11 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
 
 def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition]:
     """The decompositions of x^n for n in `powers` (ascending), from one
-    h-ladder.  Each residue a_i^n / A_i is kept as an integer pair, the
+    h list.  Each residue a_i^n / A_i is kept as an integer pair, the
     numerator and denominator of 1/A_i times those of a_i^n, stepped by
     a_i^gap from one power to the next, and becomes one Fraction per n."""
     m = poles.m
-    h = homogeneous_via_elementary(poles, powers[-1] - m) if powers[-1] >= m else []
+    h = homogeneous_brute_force(poles, powers[-1] - m) if powers[-1] >= m else []
     tops = [a.numerator for a in poles.values]
     bottoms = [a.denominator for a in poles.values]
     nums = [A.denominator for A in poles.products]

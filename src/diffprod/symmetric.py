@@ -9,9 +9,7 @@ Every function takes the node set and runs on integers, building one
 Fraction per returned value.  Each route reads its own scale:
 - the e-list, the e-recurrence for h and Newton's identities read the
   integers E_j = L^j e_j cached as ns.scaled_elementary, built from
-  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k,
-  and the H_k are kept as ns.scaled_homogeneous, each computed once per
-  node set;
+  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
 - power_sums and the power-sum recurrence read only ns.values: the one
   power kernel, `_power_ladder` (also behind nodes.euler_sums), scales them
   by their own lcm, never reading ns.scaled or ns.scaled_elementary;
@@ -20,7 +18,8 @@ Fraction per returned value.  Each route reads its own scale:
   multiset of X + {x} splits by how many times it takes x, so
   h_k(X + {x}) = sum_j x^j h_(k-j)(X), which by Horner's rule in x is
   H_k += x H_(k-1) for k ascending; one call gives h[0..kmax] in m*kmax
-  products and divides by L^k once.
+  products and divides by L^k once.  The closed forms and the partial
+  fractions' parts take h from it; the e-recurrence only checks it.
 So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.
 """
@@ -92,14 +91,11 @@ def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     H_k = sum_j (-1)^(j-1) E_j H_{k-j}.
     """
     _check_depth(kmax)
-    # The ladder is kept on the node set; a deeper kmax extends it where the
-    # last call stopped, so each H_k is computed once per node set.
-    H = ns.scaled_homogeneous
-    if len(H) <= kmax:
-        _, signed = _scaled_elementary(ns, kmax)
-        for _ in range(len(H), kmax + 1):
-            H.append(sum(map(mul, signed, reversed(H))))
-    return _unscale(ns.scaled[0], H[: kmax + 1], 1)
+    L, signed = _scaled_elementary(ns, kmax)
+    H = [1]
+    for _ in range(kmax):
+        H.append(sum(map(mul, signed, reversed(H))))
+    return _unscale(L, H, 1)
 
 
 def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -151,9 +147,13 @@ def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
     prod 1/(1 - b_i z), multiplied out one node at a time
     (`_complete_sums`), m*kmax products in all.  Each sum is divided by L^k
     once, so each result is the same value with one normalisation.
-    Intended as an oracle, and kept deliberately independent of both
-    recurrences: it reads only the node values, never the cached integer
-    forms, the e-list or the power sums.
+    It is both the oracle of the recurrences and the source of the closed
+    forms (`nodes.expected_euler_sums`) and of the decompositions'
+    polynomial parts.  That stays independent because it reads only the
+    node values, never the cached integer forms, the e-list or the power
+    kernel: the closed forms are checked against sums stepped by
+    `_power_ladder`, the parts against `reconstruct`'s own node
+    polynomial, and these values against the e-recurrence.
     """
     _check_depth(kmax)
     L = lcm(*(a.denominator for a in ns.values))

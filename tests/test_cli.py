@@ -1,13 +1,11 @@
 import argparse
 import contextlib
-import functools
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import comb
 from unittest import mock
 
 import pytest
@@ -162,23 +160,21 @@ class TestVerbs:
         assert res["tables"]["h_via_elementary"] == res["tables"]["h_via_power_sums"]
         assert res["agreement"] == {"h_triple": True, "newton_round_trip": True}
 
-    def test_brute_force_compares_each_k_under_the_cap(self, capsys):
-        # The cap counts multisets of the whole set, not products formed: at
-        # m = 8, k = 13 has C(20, 13) = 77520 and is compared, while
-        # C(21, 14) = 116280 is past the cap of 100000.
-        assert comb(20, 13) <= cli._BRUTE_FORCE_LIMIT < comb(21, 14)
-        argv = ["symmetric", "1/2 -3 7/3 5/4 -8/5 2/7 9 -1/6", "--kmax", "14"]
+    @pytest.mark.parametrize("nodes_text, kmax", [
+        ("1/2 -3 7/3 5/4 -8/5 2/7 9 -1/6", 14),  # C(21, 14) = 116280 multisets at k = 14
+        (" ".join(map(str, range(1, 448))), 2),  # C(448, 2) = 100128 at k = 2
+    ], ids=["m8", "m447"])
+    def test_brute_force_compares_every_k(self, nodes_text, kmax, capsys):
+        # The oracle adds the nodes one at a time, m*k products, so every k
+        # is compared however many multisets it has.
+        argv = ["symmetric", nodes_text, "--kmax", str(kmax)]
         assert cli.run(argv) == 0
         line = capsys.readouterr().out.splitlines()[5]
         assert line.startswith("h (brute force):")
-        values = line.split(":")[1].split()
-        assert len(values) == 15
-        assert [v == "-" for v in values] == [False] * 14 + [True]
+        assert len(line.split(":")[1].split()) == kmax + 1
         code, res = run_json(capsys, argv)
         assert code == 0
-        h_bf = res["tables"]["h_brute_force"]
-        assert h_bf[:14] == res["tables"]["h_via_elementary"][:14]
-        assert h_bf[14] is None
+        assert res["tables"]["h_brute_force"] == res["tables"]["h_via_elementary"]
 
     def test_verify_ok(self, capsys):
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3", "--nmax", "9"])
@@ -281,30 +277,17 @@ class TestVerbs:
         assert sum(ns.m == 4 for ns in seen) == 1
         assert len(seen) == (2 if verb == "verify" else 1)
 
-    @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
-    def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
-        # The closed forms (to k = nmax - m + 1), the decompositions' parts
-        # (to nmax - m) and the h checks (to min(nmax, 8)) slice one
-        # e-recurrence ladder: it is made once per node set, and each H_k is
-        # appended once, up to the deepest k asked for.
-        made, appended = [], []
+    def test_closed_forms_never_read_the_e_list(self, monkeypatch):
+        # The e-recurrence is a check route only: the closed forms and the
+        # decompositions' parts take h from the oracle's kernel.
+        values = "1/2 -3 7/3 4 -5/6"
 
-        class CountingLadder(list):
-            def append(self, value):
-                appended.append(value)
-                super().append(value)
+        def unread(*args):
+            raise AssertionError("a closed form read the e-list")
 
-        def ladder(ns):
-            made.append(ns)
-            return CountingLadder([1])
-
-        counting = functools.cached_property(ladder)
-        counting.__set_name__(nodes.NodeSet, "scaled_homogeneous")
-        monkeypatch.setattr(nodes.NodeSet, "scaled_homogeneous", counting)
-        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
-        assert code == 0 and res["all_identities_hold"]
-        assert [ns.m for ns in made] == [4]
-        assert len(appended) == deepest
+        monkeypatch.setattr(nodes.NodeSet, "scaled_elementary", property(unread))
+        assert cli.run(["table", values, "--nmax", "12"]) == 0
+        assert partfrac.reconstruct(*partfrac.decompositions(nodeset_new(values.split()), 12))
 
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full
@@ -562,21 +545,21 @@ class TestVerifierIndependence:
         assert bad == [*good[:-1], "reconstruction check: FAILED"]
 
     def test_wrong_closed_form_fails_table(self, capsys, monkeypatch):
-        true_ladder = nodes.homogeneous_via_elementary
-        monkeypatch.setattr(nodes, "homogeneous_via_elementary",
+        true_ladder = nodes.homogeneous_brute_force
+        monkeypatch.setattr(nodes, "homogeneous_brute_force",
                             lambda ns, kmax: [*true_ladder(ns, kmax)[:-1], 0])
         assert cli.run(["table", "1 2 3", "--nmax", "4"]) == 1
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split()[-1] for row in rows] == ["yes"] * 4 + ["NO"]
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
-        true_ladder = partfrac.homogeneous_via_elementary
+        true_ladder = partfrac.homogeneous_brute_force
 
         def wrong(ns, kmax):
             h = true_ladder(ns, kmax)
             return h[:-1] + [h[-1] + 1]
 
-        monkeypatch.setattr(partfrac, "homogeneous_via_elementary", wrong)
+        monkeypatch.setattr(partfrac, "homogeneous_brute_force", wrong)
         self.verify_fails(capsys, "decompositions reconstruct exactly")
 
     def test_wrong_power_sum_kernel_fails_closed_form(self, capsys, monkeypatch):
@@ -702,10 +685,32 @@ class TestVerifierIndependence:
         monkeypatch.setattr(symmetric, "_complete_sums", wrong)
 
     def test_wrong_level_sum_fails_brute_force_check(self, capsys, monkeypatch):
+        # The kernel is also the source of the closed forms and of the
+        # decompositions' parts, so their checks fail too: the sums come from
+        # the power kernel, and reconstruct uses its own node polynomial.
         self.wrong_top_level_sum(monkeypatch)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "sum matches closed form for n <= nmax",
+            "decompositions reconstruct exactly",
+            "homogeneous recurrences match brute force"}
+
+    def test_wrong_e_route_fails_only_the_h_checks(self, capsys, monkeypatch):
+        # Wherever it is bound, a wrong e-recurrence reaches no closed form
+        # and no decomposition: it is compared, never used.
+        true_route = symmetric.homogeneous_via_elementary
+
+        def wrong(ns, kmax):
+            h = true_route(ns, kmax)
+            return [*h[:-1], h[-1] + 1]
+
+        for module in (symmetric, nodes, partfrac, cli):
+            monkeypatch.setattr(module, "homogeneous_via_elementary", wrong, raising=False)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "homogeneous recurrences agree",
             "homogeneous recurrences match brute force"}
 
     def test_wrong_level_sum_fails_symmetric(self, capsys, monkeypatch):

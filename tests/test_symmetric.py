@@ -1,13 +1,12 @@
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diffprod import (
-    cli,
     elementary_all,
     homogeneous_brute_force,
     homogeneous_via_elementary,
@@ -153,9 +152,8 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             homogeneous_brute_force(ONE_TWO_THREE, -1)
 
-    def test_largest_k_under_the_cap(self):
-        # C(447, 2) multisets at m = 3, k = 445: the top k the CLI compares.
-        assert comb(447, 2) <= cli._BRUTE_FORCE_LIMIT < comb(448, 2)
+    def test_deep_k_on_three_nodes(self):
+        # C(447, 2) = 99681 multisets at k = 445, summed in 3*445 products.
         ns = nodeset_new(["1/2", "-3", "7/3"])
         assert homogeneous_brute_force(ns, 445) == homogeneous_via_elementary(ns, 445)
 
