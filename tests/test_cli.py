@@ -289,6 +289,31 @@ class TestVerbs:
         assert cli.run(["table", values, "--nmax", "12"]) == 0
         assert partfrac.reconstruct(*partfrac.decompositions(nodeset_new(values.split()), 12))
 
+    @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
+    def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
+        # The e-recurrence ladder is a check route only: verify builds it
+        # once, to min(nmax, 8).  The closed forms (to k = nmax - m + 1), the
+        # decompositions' parts (to nmax - m) and the oracle check (to
+        # min(nmax, 8)) each run the Horner kernel no deeper than they need.
+        e_ladders, horner_depths = [], []
+        via_elementary, complete_sums = cli.homogeneous_via_elementary, symmetric._complete_sums
+
+        def counting_e(ns, kmax):
+            e_ladders.append((ns.m, kmax))
+            return via_elementary(ns, kmax)
+
+        def counting_horner(xs, kmax):
+            horner_depths.append(kmax)
+            return complete_sums(xs, kmax)
+
+        monkeypatch.setattr(cli, "homogeneous_via_elementary", counting_e)
+        monkeypatch.setattr(symmetric, "_complete_sums", counting_horner)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
+        assert code == 0 and res["all_identities_hold"]
+        assert e_ladders == [(4, min(nmax, 8))]
+        assert sorted(horner_depths) == sorted([nmax - 3, nmax - 4, min(nmax, 8)])
+        assert max(horner_depths) == deepest
+
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full
         # pipe when the reader goes away after the first line.
