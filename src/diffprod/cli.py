@@ -23,19 +23,23 @@ from .nodes import (
     EmptyNodeSet,
     NegativeExponent,
     NodeSet,
+    _closed_forms,
+    _euler_sums,
     alternating_display,
     diff_products_via_derivative,
     euler_sums,
     expected_euler_sums,
     nodeset_new,
 )
-from .partfrac import decompose, decompositions, euler_sums_via_decomposition, reconstruct
+from .partfrac import _reconstructs, _route_sums, _scaled_decompositions, decompose, reconstruct
 from .symmetric import (
+    _equal,
+    _h_brute_force,
+    _h_elementary,
+    _p_newton,
     _power_routes,
+    _unscale,
     elementary_all,
-    homogeneous_brute_force,
-    homogeneous_via_elementary,
-    newton_power_from_elementary,
 )
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
@@ -230,9 +234,9 @@ def _print_decompose(res: dict) -> None:
 def _homogeneous_checks(ns: NodeSet, kmax: int):
     """The independent routes to h_0..h_kmax and Newton's round trip.
 
-    Returns p_1..p_max(kmax,1), h by the e-recurrence, h by the power-sum
-    recurrence, h by brute force, and whether Newton's identities give
-    back the direct power sums.
+    Returns the scaled lists (L, X, first) of p_1..p_max(kmax,1), of h by
+    the e-recurrence, by the power-sum recurrence and by brute force, and
+    whether Newton's identities give back the direct power sums.
     """
     # Each route picks its own scale: the e-route and Newton read
     # E_1..E_min(kmax, m) off ns.scaled_elementary, so off ns.scaled, while
@@ -242,25 +246,25 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     # closed forms and the decompositions' parts take h from the oracle's
     # kernel, so here the e-recurrence is what checks that kernel.
     p, h_p = _power_routes(ns, kmax)
-    h_e = homogeneous_via_elementary(ns, kmax)
-    h_bf = homogeneous_brute_force(ns, kmax)
-    newton = newton_power_from_elementary(ns, max(kmax, 1))
-    return p, h_e, h_p, h_bf, newton == p
+    h_e = _h_elementary(ns, kmax)
+    h_bf = _h_brute_force(ns, kmax)
+    newton = _p_newton(ns, max(kmax, 1))
+    return p, h_e, h_p, h_bf, _equal(newton, p)
 
 
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
-    triple = h_e == h_p == h_bf
+    triple = _equal(h_e, h_p) and _equal(h_p, h_bf)
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
             "e": [fmt(v) for v in elementary_all(ns, kmax)],
-            "p": [fmt(v) for v in p],
-            "h_via_elementary": [fmt(v) for v in h_e],
-            "h_via_power_sums": [fmt(v) for v in h_p],
-            "h_brute_force": [fmt(v) for v in h_bf],
+            "p": [fmt(v) for v in _unscale(*p)],
+            "h_via_elementary": [fmt(v) for v in _unscale(*h_e)],
+            "h_via_power_sums": [fmt(v) for v in _unscale(*h_p)],
+            "h_brute_force": [fmt(v) for v in _unscale(*h_bf)],
         },
         "agreement": {
             "h_triple": triple,
@@ -288,23 +292,30 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     def check(name: str, ok: bool) -> None:
         checks.append({"name": name, "ok": bool(ok)})
 
+    m = ns.m
     products = list(ns.products)
     check("difference products match derivative route",
           products == diff_products_via_derivative(ns))
     check("sign parity (-1)^(m-1-i)",
-          all((-1) ** (ns.m - 1 - i) * A.numerator > 0 for i, A in enumerate(products)))
-    sums = euler_sums(ns, max(nmax, ns.m - 2))
-    check("sum is 0 for n <= m-2", all(s == 0 for s in sums[: ns.m - 1]))
+          all((-1) ** (m - 1 - i) * A.numerator > 0 for i, A in enumerate(products)))
+    # Every route below gives a scaled list (L, X, first) of its values,
+    # compared by `_equal` without building a Fraction.
+    L, S, D = _euler_sums(ns, max(nmax, m - 2))
+    check("sum is 0 for n <= m-2", not any(S[: m - 1]))
+    # from n = m-1 on the closed forms are h_0, h_1, ...: the sums' entry
+    # m-1 is the first of a list over D L^(m-1)
     check("sum matches closed form for n <= nmax",
-          sums[: nmax + 1] == expected_euler_sums(ns, nmax))
-    if ns.m >= 2:
+          not any(S[: min(nmax + 1, m - 1)])
+          and _equal((L, S[m - 1 : nmax + 1], D * L ** (m - 1)), _closed_forms(ns, nmax)))
+    if m >= 2:
         check("decomposition route reproduces the sum",
-              euler_sums_via_decomposition(ns, nmax) == sums[: nmax + 1])
-    check("decompositions reconstruct exactly", reconstruct(*decompositions(ns, nmax)))
+              _equal(_route_sums(ns, nmax), (L, S[: nmax + 1], D)))
+    check("decompositions reconstruct exactly",
+          _reconstructs(ns, *_scaled_decompositions(ns, range(nmax + 1))))
 
     _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
-    check("homogeneous recurrences agree", h_e == h_p)
-    check("homogeneous recurrences match brute force", h_bf == h_e)
+    check("homogeneous recurrences agree", _equal(h_e, h_p))
+    check("homogeneous recurrences match brute force", _equal(h_bf, h_e))
     check("newton round trip", newton_ok)
 
     return {

@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exactpoly import derivative, evaluate, node_polynomial
-from .symmetric import _power_ladder, _unscale, homogeneous_brute_force
+from .symmetric import _h_brute_force, _power_ladder, _unscale
 
 
 class EmptyNodeSet(ValueError):
@@ -97,11 +97,13 @@ class FractionTable:
 
 def nodeset_new(values: Sequence) -> NodeSet:
     """Validate, canonicalize (sort ascending), and freeze a node list."""
-    vals = sorted(Fraction(v) for v in values)
+    vals = sorted(v if isinstance(v, Fraction) else Fraction(v) for v in values)
     if not vals:
         raise EmptyNodeSet("node set must contain at least one value")
-    for a, b in zip(vals, vals[1:]):
-        if a == b:
+    # equal reduced fractions have equal (numerator, denominator) pairs
+    pairs = [(a.numerator, a.denominator) for a in vals]
+    for a, p, q in zip(vals, pairs, pairs[1:]):
+        if p == q:
             raise DuplicateNode(a)
     return NodeSet(tuple(vals))
 
@@ -142,30 +144,42 @@ def euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     power sums of the nodes weighted by 1/A_i, in O(m^2 + nmax*m) integer
     operations."""
     _check_exponent(nmax)
+    return _unscale(*_euler_sums(ns, nmax))
+
+
+def _euler_sums(ns: NodeSet, nmax: int) -> tuple:
+    """The scaled list (L, X, D) of [S_0, ..., S_nmax]."""
     weights = [(A.denominator, A.numerator) for A in ns.products]
     return _weighted_power_sums(weights, ns.values, nmax)
 
 
-def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> list[Fraction]:
-    """[sum w_i a_i^n for n = 0..nmax] (0**0 = 1) over m >= 1 weights w_i
-    and rationals a_i, each weight given as an integer pair (numerator,
-    nonzero denominator of either sign).
+def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> tuple:
+    """The scaled list (L, X, D) of [sum w_i a_i^n for n = 0..nmax]
+    (0**0 = 1) over m >= 1 weights w_i and rationals a_i, each weight given
+    as an integer pair (numerator, nonzero denominator of either sign).
 
     The weights go over one denominator D as integers N_i; the power kernel
-    of `symmetric` gives L, the values' own lcm, and sum N_i (a_i*L)^n,
-    which is normalised once over D L^n."""
+    of `symmetric` gives L, the values' own lcm, and X[n] =
+    sum N_i (a_i*L)^n, which is the sum over D L^n."""
     D = lcm(*(d for _, d in weights))
     L, sums = _power_ladder([n * (D // d) for n, d in weights], values, nmax)
-    return _unscale(L, sums, D)
+    return L, sums, D
 
 
 def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
     """Closed forms of euler_sums: 0 for n <= m-2, then h_0, h_1, ... from n = m-1."""
     _check_exponent(nmax)
-    m = ns.m
-    if nmax <= m - 2:
-        return [Fraction(0)] * (nmax + 1)
-    return [Fraction(0)] * (m - 1) + homogeneous_brute_force(ns, nmax - m + 1)
+    zeros = [Fraction(0)] * min(nmax + 1, ns.m - 1)
+    return zeros + _unscale(*_closed_forms(ns, nmax))
+
+
+def _closed_forms(ns: NodeSet, nmax: int) -> tuple:
+    """The scaled list of the closed forms from n = m-1 to nmax, h_0 to
+    h_(nmax-m+1), off the brute-force oracle's ladder; empty for
+    nmax < m-1."""
+    if nmax < ns.m - 1:
+        return 1, [], 1
+    return _h_brute_force(ns, nmax - ns.m + 1)
 
 
 def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:

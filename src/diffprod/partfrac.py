@@ -1,12 +1,12 @@
 """Partial fraction decomposition of x^n / prod(x - a_i) over distinct poles.
 
 Residues come straight from the difference products, stepped as integer
-numerators and denominators with one Fraction per residue; the polynomial
-part of an improper fraction is built from the complete homogeneous values
-of `homogeneous_brute_force` rather than by long division, so its
-coefficients are h_0 (leading) down to h_{n-m} (constant).
-`decompositions` slices the parts for every n up to nmax from one h list,
-and `decompose` builds the one list it returns through the same helper.
+numerators and denominators; the polynomial part of an improper fraction
+is built from the complete homogeneous values of the brute-force oracle
+rather than by long division, so its coefficients are h_0 (leading) down
+to h_{n-m} (constant).  `_scaled_decompositions` gives both on integers,
+for every n up to nmax from one h list; `decompositions` and `decompose`
+put them over Fractions, one per value.
 
 `reconstruct` proves the identity by interpolation on integers of its own,
 reading nothing the decomposition was built from: with L the lcm of the
@@ -14,6 +14,8 @@ pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
 W'(b_i) once per call (`exactpoly`).  Each decomposition must then give
 a_j^n at every pole, and its part must be the quotient of x^n by w: that
 is proved once, for the largest n, and every other part is its tail.
+`verify` hands the integers of `_scaled_decompositions` to the same
+checks (`_reconstructs`), so it builds no Fraction for them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import add, attrgetter, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
 from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
-from .symmetric import homogeneous_brute_force
+from .symmetric import _h_brute_force, _unscale
 
 
 class NodeSetTooSmall(ValueError):
@@ -66,27 +68,42 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
 
 
 def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition]:
-    """The decompositions of x^n for n in `powers` (ascending), from one
-    h list.  Each residue a_i^n / A_i is kept as an integer pair, the
-    numerator and denominator of 1/A_i times those of a_i^n, stepped by
-    a_i^gap from one power to the next, and becomes one Fraction per n."""
+    """The decompositions of x^n for n in `powers` (ascending): the
+    integers of `_scaled_decompositions`, one Fraction per value."""
     m = poles.m
-    h = homogeneous_brute_force(poles, powers[-1] - m) if powers[-1] >= m else []
+    h, residues = _scaled_decompositions(poles, powers)
+    h = _unscale(*h)
+    return [
+        # ascending: constant term h_{n-m}, leading h_0 = 1
+        PartialFractionDecomposition(n, poles, h[n - m::-1] if n >= m else [],
+                                     list(map(Fraction, nums, dens)))
+        for n, nums, dens in residues
+    ]
+
+
+def _scaled_decompositions(poles: NodeSet, powers) -> tuple:
+    """(h, residues) for x^n, n in `powers` (ascending), from one h list.
+
+    h is the scaled list of h_0, ..., h_(N-m) for the largest power N,
+    which is the part of x^N leading coefficient first; the part of each n
+    is its first n - m + 1 entries.  residues holds (n, numerators,
+    denominators) for each n: the residue a_i^n / A_i as the numerator and
+    denominator of 1/A_i times those of a_i^n, stepped by a_i^gap from one
+    power to the next, never reduced."""
+    m = poles.m
+    h = _h_brute_force(poles, powers[-1] - m) if powers[-1] >= m else (1, [], 1)
     tops = [a.numerator for a in poles.values]
     bottoms = [a.denominator for a in poles.values]
     nums = [A.denominator for A in poles.products]
     dens = [A.numerator for A in poles.products]
-    out, last = [], 0
+    residues, last = [], 0
     for n in powers:
         gap, last = n - last, n
         if gap:
             nums = list(map(mul, nums, map(pow, tops, repeat(gap))))
             dens = list(map(mul, dens, map(pow, bottoms, repeat(gap))))
-        # ascending: constant term h_{n-m}, leading h_0 = 1
-        part = h[n - m::-1] if n >= m else []
-        residues = list(map(Fraction, nums, dens))
-        out.append(PartialFractionDecomposition(n, poles, part, residues))
-    return out
+        residues.append((n, nums, dens))
+    return h, residues
 
 
 def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecomposition) -> bool:
@@ -100,29 +117,53 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     quotient of x^n by w, [h_{n-m}, ..., h_0] ascending, which is the tail
     of the quotient for any larger N (division by reversal).  So (ii) is
     checked once, for a largest power N, and every part must equal that
-    part's tail (zero for n < m); (i) is checked for each n.  With x = z/L,
-    both run on integers of the call's own (L, b, W), and W'(b_j) =
-    L^(m-1) w'(a_j) is computed once per call.  A False return means some
-    decomposition is inconsistent or lacks a residue, or that W is not the
-    monic degree-m polynomial vanishing at every b_j.
+    part's tail (zero for n < m); (i) is checked for each n.  Both run on
+    integers (`_reconstructs`).  A False return means some decomposition
+    is inconsistent or lacks a residue, or that W is not the monic
+    degree-m polynomial vanishing at every b_j.
     """
     poles = pfd.poles
     if any(p.poles != poles for p in more):
         raise ValueError("decompositions over different poles")
     pfds = sorted((pfd, *more), key=attrgetter("power"))
+    top = pfds[-1]
+    N = top.power
+    quotient = top.polynomial_part[:max(N - poles.m + 1, 0)]  # the rest is zero
+    for p in pfds:
+        tail, part = quotient[N - p.power:], p.polynomial_part
+        if part[:len(tail)] != tail or any(part[len(tail):]):
+            return False
+    # the largest part, leading coefficient first, over the lcm D of its
+    # denominators: the scaled list (1, C, D)
+    part = [c.as_integer_ratio() for c in reversed(top.polynomial_part)]
+    D = lcm(*[q for _, q in part])
+    residues = [(p.power, [r.numerator for r in p.residues],
+                 [r.denominator for r in p.residues]) for p in pfds]
+    return _reconstructs(poles, (1, [c * (D // q) for c, q in part], D), residues)
+
+
+def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
+    """Checks (i) and (ii) of `reconstruct` on integers.
+
+    `part` is the scaled list (Q, X, f) of the largest power's part,
+    leading coefficient first: X[k] / (f Q^k) is the coefficient of
+    x^(len(X)-1-k).  `residues` holds (n, numerators, denominators) for
+    each power n, ascending, the largest being N.  With x = z/L, both
+    checks run on the integers of the call's own (L, b, W), and
+    W'(b_j) = L^(m-1) w'(a_j) is computed once per call.
+    """
     m = poles.m
     L, b, W = node_polynomial(poles.values)
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
-    top = pfds[-1]
-    N = top.power
+    N = residues[-1][0]
     Lpow = list(accumulate(repeat(L, max(N, m)), mul, initial=1))
-    # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^N for every d >= m, D the
-    # lcm of the part's denominators and L^m w(x) = sum_l W_l L^l x^l;
-    # high[t] is degree m + t
-    part = [c.as_integer_ratio() for c in top.polynomial_part]
-    D = lcm(*[q for _, q in part])
-    C = [c * (D // q) for c, q in part]
+    # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^N for every d >= m, with
+    # L^m w(x) = sum_l W_l L^l x^l and the part ascending over
+    # D = f Q^(len(X)-1): C[j] = X[len(X)-1-j] Q^j; high[t] is degree m + t
+    Q, X, f = part
+    Qpow = list(accumulate(repeat(Q, max(len(X) - 1, 0)), mul, initial=1))
+    C, D = list(map(mul, reversed(X), Qpow)), f * Qpow[-1]
     high = [0] * (max(N, len(C) - 1 + m) - m + 1)
     for l in range(max(0, m - len(C) + 1), m + 1):
         terms = C[m - l:]
@@ -132,14 +173,11 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
         want[N - m] = D * Lpow[m]
     if high != want:
         return False
-    quotient = top.polynomial_part[:max(N - m + 1, 0)]  # the rest is zero
     dW = derivative(W)
     slopes = [evaluate(dW, bj) for bj in b]
     bn, last = [1] * m, 0  # b_j^last, stepped across the ascending powers
-    for p in pfds:
-        n = p.power
-        tail, part = quotient[N - n:], p.polynomial_part
-        if len(p.residues) != m or part[:len(tail)] != tail or any(part[len(tail):]):
+    for n, nums, dens in residues:
+        if len(nums) != m:
             return False
         if n > last:
             bn = list(map(mul, bn, map(pow, b, repeat(n - last))))
@@ -147,8 +185,8 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
         # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
         s = min(n, m - 1)
         left, right = Lpow[n - s], Lpow[m - 1 - s]
-        for r, bjn, slope in zip(p.residues, bn, slopes):
-            if r.numerator * slope * left != bjn * r.denominator * right:
+        for r, q, bjn, slope in zip(nums, dens, bn, slopes):
+            if r * slope * left != bjn * q * right:
                 return False
     return True
 
@@ -171,6 +209,11 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
         raise NegativeExponent(nmax)
     if ns.m < 2:
         raise NodeSetTooSmall("need at least two nodes")
+    return _unscale(*_route_sums(ns, nmax))
+
+
+def _route_sums(ns: NodeSet, nmax: int) -> tuple:
+    """The scaled list of euler_sums_via_decomposition's values, m >= 2."""
     x = ns.values[-1]
     rest = NodeSet(ns.values[:-1])  # still ascending and distinct
     # With x = s/t and a_i = s_i/t_i, a_i - x = d_i / (t_i t) for the

@@ -5,8 +5,11 @@ e[k] is the sum of all k-fold products of distinct nodes and h[k] the sum
 of all degree-k monomials with repetition.  Power-sum lists hold
 [p_1, ..., p_kmax] (there is no useful p_0 here).
 
-Every function takes the node set and runs on integers, building one
-Fraction per returned value.  Each route reads its own scale:
+Every function takes the node set and runs on integers.  Each route is an
+integer kernel that returns a scaled list (L, X, first), the values
+X[k] / (first * L^k), and the public function is that kernel plus
+`_unscale`, one Fraction per returned value; `_equal` compares two scaled
+lists exactly without building any.  Each route reads its own scale:
 - the e-list, the e-recurrence for h and Newton's identities read the
   integers E_j = L^j e_j cached as ns.scaled_elementary, built from
   ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
@@ -17,18 +20,20 @@ Fraction per returned value.  Each route reads its own scale:
   of their denominators, it takes the integers a_i*L one at a time.  Every
   multiset of X + {x} splits by how many times it takes x, so
   h_k(X + {x}) = sum_j x^j h_(k-j)(X), which by Horner's rule in x is
-  H_k += x H_(k-1) for k ascending; one call gives h[0..kmax] in m*kmax
-  products and divides by L^k once.  The closed forms and the partial
-  fractions' parts take h from it; the e-recurrence only checks it.
+  H_k += x H_(k-1) for k ascending; one call gives H_0..H_kmax in m*kmax
+  products.  The closed forms and the partial fractions' parts take h from
+  it; the e-recurrence only checks it.
 So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
-power sums disagree with the direct ones.
+power sums disagree with the direct ones.  That needs the comparison to
+read each list's scale: under a wrong L the e-route's integers are still
+the true ones, only their scale is wrong.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -75,12 +80,51 @@ def _unscale(L: int, scaled: Sequence, first: int) -> list[Fraction]:
     return list(map(Fraction, scaled, Lpow))
 
 
+def _equal(a: tuple, b: tuple) -> bool:
+    """Whether two scaled lists (L, X, first) hold the same values, each
+    X[k] / (first * L^k), without building a Fraction.
+
+    On one scale the entries are compared as they are.  Otherwise
+    X1[k] f2 L2^k == X2[k] f1 L1^k is tested with the common factors of
+    the two firsts and of the two L taken out.  Entries may be Fractions.
+    """
+    (L1, X1, f1), (L2, X2, f2) = a, b
+    if len(X1) != len(X2):
+        return False
+    if L1 == L2 and f1 == f2:
+        return X1 == X2
+    g, h = gcd(L1, L2), gcd(f1, f2)
+    step1, step2 = L2 // g, L1 // g
+    s1, s2 = f2 // h, f1 // h
+    for x1, x2 in zip(X1, X2):
+        if x1 * s1 != x2 * s2:
+            return False
+        s1 *= step1
+        s2 *= step2
+    return True
+
+
+def _power_sums(ns: "NodeSet", kmax: int) -> tuple:
+    """(L, [P_1, ..., P_kmax], L): the power sums off the power kernel."""
+    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, kmax)
+    return L, P, L
+
+
 def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """[p_1, ..., p_kmax] with p_k the sum of k-th powers of the nodes."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, kmax)
-    return _unscale(L, P, L)
+    return _unscale(*_power_sums(ns, kmax))
+
+
+def _h_elementary(ns: "NodeSet", kmax: int) -> tuple:
+    """(L, [H_0, ..., H_kmax], 1) by the e-recurrence H_k =
+    sum_j (-1)^(j-1) E_j H_{k-j}, L from ns.scaled."""
+    L, signed = _scaled_elementary(ns, kmax)
+    H = [1]
+    for _ in range(kmax):
+        H.append(sum(map(mul, signed, reversed(H))))
+    return L, H, 1
 
 
 def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -91,11 +135,7 @@ def homogeneous_via_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     H_k = sum_j (-1)^(j-1) E_j H_{k-j}.
     """
     _check_depth(kmax)
-    L, signed = _scaled_elementary(ns, kmax)
-    H = [1]
-    for _ in range(kmax):
-        H.append(sum(map(mul, signed, reversed(H))))
-    return _unscale(L, H, 1)
+    return _unscale(*_h_elementary(ns, kmax))
 
 
 def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -107,19 +147,19 @@ def homogeneous_via_power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
     give a wrong h, never a rounded one.
     """
     _check_depth(kmax)
-    return _power_routes(ns, kmax)[1]
+    return _unscale(*_power_routes(ns, kmax)[1])
 
 
 def _power_routes(ns: "NodeSet", kmax: int) -> tuple:
-    """([p_1, ..., p_max(kmax,1)], h[0..kmax] by the power-sum recurrence),
-    both off one power ladder."""
-    L, (_, *P) = _power_ladder([1] * ns.m, ns.values, max(kmax, 1))
+    """The scaled lists of [p_1, ..., p_max(kmax,1)] and of h[0..kmax] by
+    the power-sum recurrence, both off one power ladder."""
+    p = L, P, _ = _power_sums(ns, max(kmax, 1))
     H = [1]
     for k in range(1, kmax + 1):
         total = sum(map(mul, P, reversed(H)))
         q, r = divmod(total, k)
         H.append(q if r == 0 else Fraction(total, k))
-    return _unscale(L, P, L), _unscale(L, H, 1)
+    return p, (L, H, 1)
 
 
 def _complete_sums(xs: Sequence[int], kmax: int) -> list[int]:
@@ -135,6 +175,14 @@ def _complete_sums(xs: Sequence[int], kmax: int) -> list[int]:
         for k in range(1, kmax + 1):
             H[k] += x * H[k - 1]
     return H
+
+
+def _h_brute_force(ns: "NodeSet", kmax: int) -> tuple:
+    """(L, [H_0, ..., H_kmax], 1), L the lcm of the node denominators and
+    H_k the sum of the size-k multiset products of the a_i*L."""
+    L = lcm(*(a.denominator for a in ns.values))
+    scaled = [a.numerator * (L // a.denominator) for a in ns.values]
+    return L, _complete_sums(scaled, kmax), 1
 
 
 def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -156,9 +204,19 @@ def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
     polynomial, and these values against the e-recurrence.
     """
     _check_depth(kmax)
-    L = lcm(*(a.denominator for a in ns.values))
-    scaled = [a.numerator * (L // a.denominator) for a in ns.values]
-    return _unscale(L, _complete_sums(scaled, kmax), 1)
+    return _unscale(*_h_brute_force(ns, kmax))
+
+
+def _p_newton(ns: "NodeSet", kmax: int) -> tuple:
+    """(L, [P_1, ..., P_kmax], L) by Newton's identities on the E_j."""
+    L, signed = _scaled_elementary(ns, kmax)
+    P: list[int] = []
+    for k in range(1, kmax + 1):
+        total = sum(map(mul, signed, reversed(P)))
+        if k <= len(signed):
+            total += k * signed[k - 1]
+        P.append(total)
+    return L, P, L
 
 
 def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
@@ -169,11 +227,4 @@ def newton_power_from_elementary(ns: "NodeSet", kmax: int) -> list[Fraction]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    L, signed = _scaled_elementary(ns, kmax)
-    P: list[int] = []
-    for k in range(1, kmax + 1):
-        total = sum(map(mul, signed, reversed(P)))
-        if k <= len(signed):
-            total += k * signed[k - 1]
-        P.append(total)
-    return _unscale(L, P, L)
+    return _unscale(*_p_newton(ns, kmax))

@@ -289,6 +289,19 @@ class TestVerbs:
         assert cli.run(["table", values, "--nmax", "12"]) == 0
         assert partfrac.reconstruct(*partfrac.decompositions(nodeset_new(values.split()), 12))
 
+    def test_verify_normalises_no_checked_value(self, capsys, monkeypatch):
+        # verify compares the routes on their scaled integers: no route's
+        # values are put over a Fraction, and partfrac builds no residue.
+        def unread(*args):
+            raise AssertionError("verify built a Fraction for a checked value")
+
+        for module in (symmetric, nodes, partfrac, cli):
+            monkeypatch.setattr(module, "_unscale", unread)
+        monkeypatch.setattr(partfrac, "Fraction", unread)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4 -5/6", "--nmax", "12"])
+        assert code == 0
+        assert res["checks"] and all(c["ok"] for c in res["checks"])
+
     @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
     def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
         # The e-recurrence ladder is a check route only: verify builds it
@@ -296,17 +309,17 @@ class TestVerbs:
         # decompositions' parts (to nmax - m) and the oracle check (to
         # min(nmax, 8)) each run the Horner kernel no deeper than they need.
         e_ladders, horner_depths = [], []
-        via_elementary, complete_sums = cli.homogeneous_via_elementary, symmetric._complete_sums
+        h_elementary, complete_sums = cli._h_elementary, symmetric._complete_sums
 
         def counting_e(ns, kmax):
             e_ladders.append((ns.m, kmax))
-            return via_elementary(ns, kmax)
+            return h_elementary(ns, kmax)
 
         def counting_horner(xs, kmax):
             horner_depths.append(kmax)
             return complete_sums(xs, kmax)
 
-        monkeypatch.setattr(cli, "homogeneous_via_elementary", counting_e)
+        monkeypatch.setattr(cli, "_h_elementary", counting_e)
         monkeypatch.setattr(symmetric, "_complete_sums", counting_horner)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
         assert code == 0 and res["all_identities_hold"]
@@ -569,22 +582,26 @@ class TestVerifierIndependence:
         assert good[-1] == "reconstruction check: ok"
         assert bad == [*good[:-1], "reconstruction check: FAILED"]
 
+    @staticmethod
+    def wrong_last_entry(monkeypatch, module, name):
+        """Make `module`'s binding of the kernel `name`, which returns a
+        scaled list (L, X, first), return X with its last entry off by one."""
+        true_kernel = getattr(module, name)
+
+        def wrong(*args):
+            L, X, first = true_kernel(*args)
+            return L, [*X[:-1], X[-1] + 1], first
+
+        monkeypatch.setattr(module, name, wrong)
+
     def test_wrong_closed_form_fails_table(self, capsys, monkeypatch):
-        true_ladder = nodes.homogeneous_brute_force
-        monkeypatch.setattr(nodes, "homogeneous_brute_force",
-                            lambda ns, kmax: [*true_ladder(ns, kmax)[:-1], 0])
+        self.wrong_last_entry(monkeypatch, nodes, "_h_brute_force")
         assert cli.run(["table", "1 2 3", "--nmax", "4"]) == 1
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split()[-1] for row in rows] == ["yes"] * 4 + ["NO"]
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
-        true_ladder = partfrac.homogeneous_brute_force
-
-        def wrong(ns, kmax):
-            h = true_ladder(ns, kmax)
-            return h[:-1] + [h[-1] + 1]
-
-        monkeypatch.setattr(partfrac, "homogeneous_brute_force", wrong)
+        self.wrong_last_entry(monkeypatch, partfrac, "_h_brute_force")
         self.verify_fails(capsys, "decompositions reconstruct exactly")
 
     def test_wrong_power_sum_kernel_fails_closed_form(self, capsys, monkeypatch):
@@ -594,8 +611,9 @@ class TestVerifierIndependence:
         true_kernel = nodes._weighted_power_sums
 
         def wrong(weights, values, nmax):
-            sums = true_kernel(weights, values, nmax)
-            return [*sums[:-1], sums[-1] + 1]
+            # the last sum one more, X[nmax] / (D L^nmax) + 1, in both routes
+            L, X, D = true_kernel(weights, values, nmax)
+            return L, [*X[:-1], X[-1] + D * L**nmax], D
 
         monkeypatch.setattr(nodes, "_weighted_power_sums", wrong)
         monkeypatch.setattr(partfrac, "_weighted_power_sums", wrong)
@@ -724,14 +742,14 @@ class TestVerifierIndependence:
     def test_wrong_e_route_fails_only_the_h_checks(self, capsys, monkeypatch):
         # Wherever it is bound, a wrong e-recurrence reaches no closed form
         # and no decomposition: it is compared, never used.
-        true_route = symmetric.homogeneous_via_elementary
+        true_route = symmetric._h_elementary
 
         def wrong(ns, kmax):
-            h = true_route(ns, kmax)
-            return [*h[:-1], h[-1] + 1]
+            L, H, first = true_route(ns, kmax)
+            return L, [*H[:-1], H[-1] + 1], first
 
         for module in (symmetric, nodes, partfrac, cli):
-            monkeypatch.setattr(module, "homogeneous_via_elementary", wrong, raising=False)
+            monkeypatch.setattr(module, "_h_elementary", wrong, raising=False)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {

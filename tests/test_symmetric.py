@@ -15,6 +15,7 @@ from diffprod import (
     nodeset_new,
     power_sums,
 )
+from diffprod.symmetric import _equal, _unscale
 from .strategies import (
     EDGE_SETS,
     node_sets,
@@ -253,3 +254,58 @@ def test_permutation_invariance(values, rnd):
 def test_negative_depth_raises(route):
     with pytest.raises(ValueError, match="kmax must be >= 0"):
         route(ONE_TWO_THREE, -1)
+
+
+class TestScaledEqual:
+    """`_equal` compares two scaled lists (L, X, first), the values
+    X[k] / (first * L^k), with the verdict of comparing their Fractions."""
+
+    X = [3, -5, 0, 7, 11]  # over L = 6, first = 1
+
+    def test_same_values_on_another_scale(self):
+        doubled = [x * 2**k for k, x in enumerate(self.X)]
+        assert _equal((6, self.X, 1), (12, doubled, 1))
+        assert _equal((12, doubled, 1), (6, self.X, 1))
+
+    def test_same_values_with_another_first(self):
+        # X[k] / (5 * 6^k) == Y[k] / (15 * 12^k) for Y[k] = 3 * 2^k * X[k]
+        other = [3 * x * 2**k for k, x in enumerate(self.X)]
+        assert _equal((6, self.X, 5), (12, other, 15))
+        assert _unscale(6, self.X, 5) == _unscale(12, other, 15)
+
+    @pytest.mark.parametrize("k", range(len(X)))
+    def test_one_unit_off_in_any_entry_is_unequal(self, k):
+        off = [x + (i == k) for i, x in enumerate(self.X)]
+        doubled = [x * 2**i for i, x in enumerate(off)]
+        assert not _equal((6, self.X, 1), (6, off, 1))
+        assert not _equal((6, self.X, 1), (12, doubled, 1))
+        assert not _equal((6, self.X, 5), (6, off, 5))
+
+    def test_same_integers_on_two_scales_are_unequal(self):
+        # a wrong scale leaves the integers as they were: never compare
+        # them without their scales
+        assert not _equal((6, self.X, 1), (12, self.X, 1))
+        assert not _equal((6, self.X, 1), (6, self.X, 2))
+
+    def test_different_lengths_are_unequal(self):
+        assert not _equal((6, self.X, 1), (6, self.X[:-1], 1))
+        assert not _equal((6, [], 1), (6, [0], 1))
+        assert _equal((6, [], 1), (1, [], 3))
+
+    def test_indivisible_power_sum_entry(self):
+        # the power-sum route on 1 2 3 with P_2 = 15 keeps 2 H_2 = 51 as 51/2
+        wrong = (1, [1, 6, F(51, 2)], 1)
+        assert not _equal(wrong, (1, [1, 6, 25], 1))
+        assert _equal(wrong, (2, [1, 12, 102], 1))
+        assert not _equal(wrong, (2, [1, 12, 100], 1))
+
+    @given(st.lists(rationals, max_size=6), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_verdict_of_the_fractions(self, values, L1, f1, L2, f2, data):
+        # both sides put over their scales; then one entry perhaps changed
+        X1 = [v * f1 * L1**k for k, v in enumerate(values)]
+        X2 = [v * f2 * L2**k for k, v in enumerate(values)]
+        if X2 and data.draw(st.booleans()):
+            X2[data.draw(st.integers(0, len(X2) - 1))] += data.draw(rationals)
+        a, b = (L1, X1, f1), (L2, X2, f2)
+        assert _equal(a, b) is (_unscale(*a) == _unscale(*b))
