@@ -16,7 +16,9 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
+from operator import mul
 
 from .nodes import (
     DuplicateNode,
@@ -27,20 +29,10 @@ from .nodes import (
     _euler_sums,
     alternating_display,
     diff_products_via_derivative,
-    euler_sums,
-    expected_euler_sums,
     nodeset_new,
 )
-from .partfrac import _reconstructs, _route_sums, _scaled_decompositions, decompose, reconstruct
-from .symmetric import (
-    _equal,
-    _h_brute_force,
-    _h_elementary,
-    _p_newton,
-    _power_routes,
-    _unscale,
-    elementary_all,
-)
+from .partfrac import _reconstructs, _route_sums, _scaled_decompositions
+from .symmetric import _equal, _h_brute_force, _h_elementary, _matches, _p_newton, _power_routes
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
 # --kmax, the most nodes in a set, and the largest @file in bytes.
@@ -105,6 +97,21 @@ def fmt(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _fmt_ratio(p, q: int) -> str:
+    """fmt(p / q) for an integer q != 0 of either sign: by one gcd when p
+    is an integer, with no Fraction; a Fraction p is divided as it is."""
+    if not isinstance(p, int):
+        return fmt(p / q)
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _fmt_scaled(L: int, X, first: int) -> list[str]:
+    """[fmt(X[k] / (first * L^k))] for a scaled list (L, X, first)."""
+    return list(map(_fmt_ratio, X, accumulate(repeat(L, len(X)), mul, initial=first)))
 
 
 def fmt_poly(coeffs, var: str = "x") -> str:
@@ -191,10 +198,18 @@ def _print_weights(res: dict) -> None:
 
 
 def _run_table(ns: NodeSet, nmax: int) -> dict:
-    pairs = zip(euler_sums(ns, nmax), expected_euler_sums(ns, nmax))
+    # The sums S[n] / (D L^n) are compared with their closed forms on the
+    # integers: 0 up to n = m-2, then h_0, h_1, ... from the sums' entry
+    # m-1 on.  A sum that matches prints its closed form's string, since
+    # equal rationals have one lowest-terms form.
+    L, S, D = _euler_sums(ns, nmax)
+    h = _closed_forms(ns, nmax)
+    zeros = min(nmax + 1, ns.m - 1)
+    expected = ["0"] * zeros + _fmt_scaled(*h)
+    match = [not s for s in S[:zeros]] + list(_matches((L, S[zeros:], D * L**zeros), h))
     rows = [
-        {"n": n, "sum": fmt(s), "expected": fmt(expected), "match": s == expected}
-        for n, (s, expected) in enumerate(pairs)
+        {"n": n, "sum": e if ok else _fmt_ratio(s, D * L**n), "expected": e, "match": ok}
+        for n, (s, e, ok) in enumerate(zip(S, expected, match))
     ]
     return {"verb": "table", **_nodes_header(ns), "nmax": nmax, "rows": rows}
 
@@ -209,15 +224,18 @@ def _print_table(res: dict) -> None:
 
 
 def _run_decompose(ns: NodeSet, n: int) -> dict:
-    pfd = decompose(n, ns)
+    # h is the part leading coefficient first, h_0..h_(n-m), and empty for
+    # n < m; the residues are unreduced integer pairs.
+    h, residues = _scaled_decompositions(ns, [n])
+    _, nums, dens = residues[0]
     return {
         "verb": "decompose",
         **_nodes_header(ns),
         "n": n,
         "decomposition": {
-            "polynomial_part": [fmt(c) for c in pfd.polynomial_part],
-            "residues": [fmt(r) for r in pfd.residues],
-            "reconstructed": reconstruct(pfd),
+            "polynomial_part": _fmt_scaled(*h)[::-1],
+            "residues": list(map(_fmt_ratio, nums, dens)),
+            "reconstructed": _reconstructs(ns, h, residues),
         },
     }
 
@@ -254,20 +272,25 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
 
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
-    triple = _equal(h_e, h_p) and _equal(h_p, h_bf)
+    # The brute-force h is formatted once; a recurrence that equals it
+    # prints the same strings, one that does not prints its own.
+    e_ok, p_ok = _equal(h_e, h_bf), _equal(h_p, h_bf)
+    h = _fmt_scaled(*h_bf)
+    E = ns.scaled_elementary[: kmax + 1]  # e_k = 0 for k > m
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
-            "e": [fmt(v) for v in elementary_all(ns, kmax)],
-            "p": [fmt(v) for v in _unscale(*p)],
-            "h_via_elementary": [fmt(v) for v in _unscale(*h_e)],
-            "h_via_power_sums": [fmt(v) for v in _unscale(*h_p)],
-            "h_brute_force": [fmt(v) for v in _unscale(*h_bf)],
+            "e": _fmt_scaled(ns.scaled[0], E, 1) + ["0"] * (kmax + 1 - len(E)),
+            "p": _fmt_scaled(*p),
+            "h_via_elementary": h if e_ok else _fmt_scaled(*h_e),
+            "h_via_power_sums": h if p_ok else _fmt_scaled(*h_p),
+            "h_brute_force": h,
         },
         "agreement": {
-            "h_triple": triple,
+            # equal values are an equivalence, so this is all three agreeing
+            "h_triple": e_ok and p_ok,
             "newton_round_trip": newton_ok,
         },
     }
@@ -341,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     `run` call, so an in-process call pays only for its verb.  Callers must
     not mutate it.  Each verb's runner, printer and `holds` test (False
     exits 1: a check the verb reports failed) are bound when it is built;
-    help width is read when help is printed, not here."""
+    help width is read when help is printed, not here.  Its `verbs` maps
+    each verb to its own sub-parser."""
     parser = argparse.ArgumentParser(
         prog="diffprod",
         description="Exact difference-product sums, their closed forms, "
@@ -372,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify", "run every identity check; exit 0 iff all hold",
         _run_verify, _print_verify, lambda res: res["all_identities_hold"],
         "--nmax", "largest power (default m+4)")
+    parser.verbs = sub.choices
     return parser
 
 
@@ -408,8 +433,22 @@ def _int_str_unlimited():
         sys.set_int_max_str_digits(old)
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed argv.  An argv that starts with a verb goes straight to
+    that verb's parser, the call the top-level parser makes for it; any
+    other argv, or one with arguments left over, goes to the top-level
+    parser, so that its usage and error text stay the same."""
+    parser = build_parser()
+    verb_parser = parser.verbs.get(argv[0]) if argv else None
+    if verb_parser is not None:
+        args, rest = verb_parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         ns = parse_nodes(args.nodes)
         exponent = _exponent(args.exponent, ns)

@@ -14,8 +14,9 @@ pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
 W'(b_i) once per call (`exactpoly`).  Each decomposition must then give
 a_j^n at every pole, and its part must be the quotient of x^n by w: that
 is proved once, for the largest n, and every other part is its tail.
-`verify` hands the integers of `_scaled_decompositions` to the same
-checks (`_reconstructs`), so it builds no Fraction for them.
+`verify` and the CLI's `decompose` hand the integers of
+`_scaled_decompositions` to the same checks (`_reconstructs`), so they
+build no Fraction for them.
 """
 
 from __future__ import annotations
@@ -100,10 +101,16 @@ def _scaled_decompositions(poles: NodeSet, powers) -> tuple:
     for n in powers:
         gap, last = n - last, n
         if gap:
-            nums = list(map(mul, nums, map(pow, tops, repeat(gap))))
-            dens = list(map(mul, dens, map(pow, bottoms, repeat(gap))))
+            nums = list(map(mul, nums, _powers(tops, gap)))
+            dens = list(map(mul, dens, _powers(bottoms, gap)))
         residues.append((n, nums, dens))
     return h, residues
+
+
+def _powers(xs, k: int):
+    """The k-th powers of the integers xs; xs itself for k = 1, the step
+    between consecutive powers."""
+    return xs if k == 1 else map(pow, xs, repeat(k))
 
 
 def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecomposition) -> bool:
@@ -180,7 +187,7 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
         if len(nums) != m:
             return False
         if n > last:
-            bn = list(map(mul, bn, map(pow, b, repeat(n - last))))
+            bn = list(map(mul, bn, _powers(b, n - last)))
             last = n
         # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
         s = min(n, m - 1)

@@ -9,7 +9,8 @@ Every function takes the node set and runs on integers.  Each route is an
 integer kernel that returns a scaled list (L, X, first), the values
 X[k] / (first * L^k), and the public function is that kernel plus
 `_unscale`, one Fraction per returned value; `_equal` compares two scaled
-lists exactly without building any.  Each route reads its own scale:
+lists exactly without building any, and `_matches` entry by entry.  Each
+route reads its own scale:
 - the e-list, the e-recurrence for h and Newton's identities read the
   integers E_j = L^j e_j cached as ns.scaled_elementary, built from
   ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
@@ -84,24 +85,30 @@ def _equal(a: tuple, b: tuple) -> bool:
     """Whether two scaled lists (L, X, first) hold the same values, each
     X[k] / (first * L^k), without building a Fraction.
 
-    On one scale the entries are compared as they are.  Otherwise
-    X1[k] f2 L2^k == X2[k] f1 L1^k is tested with the common factors of
-    the two firsts and of the two L taken out.  Entries may be Fractions.
+    On one scale the entries are compared as they are, otherwise entry by
+    entry (`_matches`).  Entries may be Fractions.
     """
     (L1, X1, f1), (L2, X2, f2) = a, b
     if len(X1) != len(X2):
         return False
     if L1 == L2 and f1 == f2:
         return X1 == X2
+    return all(_matches(a, b))
+
+
+def _matches(a: tuple, b: tuple):
+    """Per entry of two scaled lists (L, X, first), over the shorter one,
+    whether they hold the same value: X1[k] f2 L2^k == X2[k] f1 L1^k, with
+    the common factors of the two firsts and of the two L taken out, so
+    one product per side and no power of L per entry."""
+    (L1, X1, f1), (L2, X2, f2) = a, b
     g, h = gcd(L1, L2), gcd(f1, f2)
     step1, step2 = L2 // g, L1 // g
     s1, s2 = f2 // h, f1 // h
     for x1, x2 in zip(X1, X2):
-        if x1 * s1 != x2 * s2:
-            return False
+        yield x1 * s1 == x2 * s2
         s1 *= step1
         s2 *= step2
-    return True
 
 
 def _power_sums(ns: "NodeSet", kmax: int) -> tuple:

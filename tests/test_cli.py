@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from diffprod import cli, nodes, nodeset_new, partfrac, symmetric
 from diffprod.cli import LimitExceeded, ParseError, fmt, fmt_poly, parse_nodes
 
-from .test_golden import load, run_cli
+from .test_golden import CASES, load, run_cli
 
 
 class TestParseNodes:
@@ -108,6 +108,20 @@ class TestFormatting:
 
     def test_poly_fractional_coeff(self):
         assert fmt_poly(["1/2", "1"]) == "x + 1/2"
+
+    @given(
+        L=st.integers(1, 10**6),
+        X=st.lists(st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=50)),
+                   max_size=8),
+        first=st.integers(-(10**6), 10**6).filter(bool),
+    )
+    @example(L=1, X=[0, 0], first=-3)
+    @example(L=6, X=[-4, 12, F(51, 2)], first=-2)
+    def test_scaled_values_print_as_their_fractions(self, L, X, first):
+        # Residue pairs carry their sign in the denominator, and the
+        # power-sum route keeps an h that k does not divide as a Fraction.
+        expected = [fmt(F(x, first * L**k)) for k, x in enumerate(X)]
+        assert cli._fmt_scaled(L, X, first) == expected
 
 
 def run_json(capsys, argv):
@@ -289,18 +303,33 @@ class TestVerbs:
         assert cli.run(["table", values, "--nmax", "12"]) == 0
         assert partfrac.reconstruct(*partfrac.decompositions(nodeset_new(values.split()), 12))
 
+    @staticmethod
+    def forbid_unscaling(monkeypatch):
+        """Make `_unscale` raise at every module binding it has, and
+        partfrac's Fraction too."""
+        def unread(*args):
+            raise AssertionError("a Fraction was built for a compared or printed value")
+
+        for module in (symmetric, nodes, partfrac, cli):
+            monkeypatch.setattr(module, "_unscale", unread, raising=False)
+        monkeypatch.setattr(partfrac, "Fraction", unread)
+
     def test_verify_normalises_no_checked_value(self, capsys, monkeypatch):
         # verify compares the routes on their scaled integers: no route's
         # values are put over a Fraction, and partfrac builds no residue.
-        def unread(*args):
-            raise AssertionError("verify built a Fraction for a checked value")
-
-        for module in (symmetric, nodes, partfrac, cli):
-            monkeypatch.setattr(module, "_unscale", unread)
-        monkeypatch.setattr(partfrac, "Fraction", unread)
+        self.forbid_unscaling(monkeypatch)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4 -5/6", "--nmax", "12"])
         assert code == 0
         assert res["checks"] and all(c["ok"] for c in res["checks"])
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in CASES
+        if name.removeprefix("readme_").split("_")[0] in ("table", "symmetric", "decompose")))
+    def test_printed_values_come_from_the_integers(self, name, monkeypatch):
+        # table, symmetric and decompose print from the routes' scaled
+        # integers, each value reduced by one gcd, with no Fraction.
+        self.forbid_unscaling(monkeypatch)
+        assert run_cli(CASES[name]) == load(name)
 
     @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
     def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
@@ -456,6 +485,19 @@ class TestSharedParser:
         assert cli.run(["weights", "1 2 3"]) == 0
         assert built
 
+    def test_a_verb_is_parsed_by_its_own_parser(self, monkeypatch):
+        # An argv that starts with a verb and leaves nothing over never
+        # reaches the top-level parser, nor does a usage error the verb's
+        # parser reports; the golden error cases pin the rest.
+        parser = cli.build_parser()
+
+        def unread(*args):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(parser, "parse_args", unread)
+        monkeypatch.setattr(parser, "parse_known_args", unread)
+        assert [run_cli(argv)["exit"] for argv in self.MIXED] == [0] * 5 + [2] + [0] * 4
+
     def test_same_output_on_every_run(self):
         first = [run_cli(argv) for argv in self.MIXED]
         assert [r["exit"] for r in first] == [0] * 5 + [2] + [0] * 4
@@ -599,6 +641,9 @@ class TestVerifierIndependence:
         assert cli.run(["table", "1 2 3", "--nmax", "4"]) == 1
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split()[-1] for row in rows] == ["yes"] * 4 + ["NO"]
+        # The row that fails shows its own sum, h_2(1, 2, 3) = 25, beside the
+        # wrong closed form, not the closed form's string twice.
+        assert rows[-1].split() == ["4", "25", "26", "NO"]
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
         self.wrong_last_entry(monkeypatch, partfrac, "_h_brute_force")
@@ -762,6 +807,10 @@ class TestVerifierIndependence:
         out = capsys.readouterr().out
         assert "h paths agree: NO\n" in out
         assert "newton round trip: yes\n" in out
+        # The recurrences print their own h_3 = 90, not the oracle's strings.
+        assert "h (elementary recurrence): 1 6 25 90\n" in out
+        assert "h (power-sum recurrence):  1 6 25 90\n" in out
+        assert "h (brute force):           1 6 25 91\n" in out
 
     def test_brute_force_reads_only_node_values(self, monkeypatch):
         # The oracle never reads the recurrences' inputs: the cached integer

@@ -48,6 +48,14 @@ CASES = {
     "error_duplicate": ["verify", "2 2 5"],
     "error_negative_exponent": ["table", "1 2", "--nmax", "-1"],
     "error_missing_nodes": ["weights"],
+    # argv that the top-level parser must keep answering itself
+    "error_extra_argument": ["weights", "1 2", "extra"],
+    "error_unknown_option": ["table", "1 2", "--bogus"],
+    "error_unknown_verb": ["frobnicate", "1 2"],
+    "error_empty_argv": [],
+    "error_separator_before_verb": ["--", "table", "1 2"],
+    "error_bad_option_value": ["table", "1 2", "--nmax=x"],
+    "table_abbreviated_option": ["table", "1 2", "--form", "json"],
 }
 
 
