@@ -170,27 +170,19 @@ def _run_weights(ns: NodeSet, n: int) -> dict:
         "scale": str(scale),
         "common_numerators": [str(v) for v in nums],
         "common_denominator": str(den),
-        "sum": fmt(Fraction(sum(nums), den) / scale),
+        "sum": _fmt_ratio(sum(nums), den * scale),
     }
-
-
-def _int_pair(text: str) -> tuple[int, int]:
-    """(p, q) of a "p" or "p/q" that `fmt` wrote."""
-    p, _, q = text.partition("/")
-    return int(p), int(q or 1)
 
 
 def _print_weights(res: dict) -> None:
     print(f"nodes (m={res['m']}): {' '.join(res['nodes'])}")
     print("node  signed A  display term")
-    for row in res["rows"]:
-        p, q = _int_pair(row["numerator"])
-        r, s = _int_pair(row["magnitude"])
-        term = Fraction(row["sign"] * p * s, q * r)
-        sign = "" if term < 0 else "+"
-        print(
-            f"{row['node']:>6}  {row['signed_denominator']:>10}  {sign}{fmt(term)}"
-        )
+    # each display term is its common numerator over the unreduced denominator
+    den = int(res["common_denominator"]) * int(res["scale"])
+    for row, num in zip(res["rows"], res["common_numerators"]):
+        term = _fmt_ratio(int(num), den)
+        sign = "" if term.startswith("-") else "+"
+        print(f"{row['node']:>6}  {row['signed_denominator']:>10}  {sign}{term}")
     terms = " ".join(
         f"- {v[1:]}" if v.startswith("-") else f"+ {v}" for v in res["common_numerators"]
     )

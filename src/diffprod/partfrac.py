@@ -11,25 +11,26 @@ put them over Fractions, one per value.
 `reconstruct` proves the identity by interpolation on integers of its own,
 reading nothing the decomposition was built from: with L the lcm of the
 pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
-W'(b_i) once per call (`exactpoly`).  Each decomposition must then give
-a_j^n at every pole, and its part must be the quotient of x^n by w: that
-is proved once, for the largest n, and every other part is its tail.
-`verify` and the CLI's `decompose` hand the integers of
-`_scaled_decompositions` to the same checks (`_reconstructs`), so they
-build no Fraction for them.
+W'(b_i) once per call (`exactpoly`).  Its part must be the quotient of
+x^n by w: z^N is divided by the monic W once, for the largest power N,
+by long division, and every other part must be that quotient's tail.
+Each residue r_j at a_j = t_j/u_j must satisfy
+r_j u_j^n W'(b_j) = t_j^n L^(m-1), with t_j^n and u_j^n stepped by
+`reconstruct` itself, never by the decomposition's `_powers`.  `verify`
+and the CLI's `decompose` hand the integers of `_scaled_decompositions`
+to the same checks (`_reconstructs`), so they build no Fraction for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import lcm
-from operator import add, attrgetter, mul
+from itertools import repeat
+from operator import attrgetter, mul
 
 from .exactpoly import derivative, evaluate, node_polynomial
 from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
-from .symmetric import _h_brute_force, _unscale
+from .symmetric import _equal, _h_brute_force, _unscale
 
 
 class NodeSetTooSmall(ValueError):
@@ -118,13 +119,13 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     for each given decomposition; all must be over the same poles.
 
     The difference of the two sides is zero exactly when (i) it vanishes at
-    every pole, r_j w'(a_j) = a_j^n, and (ii) it has degree < m, so that
-    part * w agrees with x^n in every coefficient of degree >= m: a
-    polynomial of degree < m with m roots is zero.  (ii) makes the part the
-    quotient of x^n by w, [h_{n-m}, ..., h_0] ascending, which is the tail
-    of the quotient for any larger N (division by reversal).  So (ii) is
-    checked once, for a largest power N, and every part must equal that
-    part's tail (zero for n < m); (i) is checked for each n.  Both run on
+    every pole, r_j w'(a_j) = a_j^n, and (ii) it has degree < m, that is,
+    the part is the quotient of x^n by w: a polynomial of degree < m with m
+    roots is zero.  The quotient of x^n is [h_{n-m}, ..., h_0] ascending,
+    the tail of the quotient for any larger N (division by reversal).  So
+    (ii) is checked once, by dividing x^N by w for a largest power N, and
+    every part must equal that quotient's tail (zero for n < m); (i) is
+    checked for each n, on powers of the poles it steps itself.  Both run on
     integers (`_reconstructs`).  A False return means some decomposition
     is inconsistent or lacks a residue, or that W is not the monic
     degree-m polynomial vanishing at every b_j.
@@ -140,13 +141,9 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
         tail, part = quotient[N - p.power:], p.polynomial_part
         if part[:len(tail)] != tail or any(part[len(tail):]):
             return False
-    # the largest part, leading coefficient first, over the lcm D of its
-    # denominators: the scaled list (1, C, D)
-    part = [c.as_integer_ratio() for c in reversed(top.polynomial_part)]
-    D = lcm(*[q for _, q in part])
     residues = [(p.power, [r.numerator for r in p.residues],
                  [r.denominator for r in p.residues]) for p in pfds]
-    return _reconstructs(poles, (1, [c * (D // q) for c, q in part], D), residues)
+    return _reconstructs(poles, (1, quotient[::-1], 1), residues)
 
 
 def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
@@ -155,45 +152,44 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
     `part` is the scaled list (Q, X, f) of the largest power's part,
     leading coefficient first: X[k] / (f Q^k) is the coefficient of
     x^(len(X)-1-k).  `residues` holds (n, numerators, denominators) for
-    each power n, ascending, the largest being N.  With x = z/L, both
-    checks run on the integers of the call's own (L, b, W), and
-    W'(b_j) = L^(m-1) w'(a_j) is computed once per call.
+    each power n, ascending, the largest being N.  Both checks run on the
+    integers of the call's own (L, b, W), with W(z) = L^m w(z/L):
+    - (ii) divides z^N by the monic W: H_0 = 1 and
+      H_k = -sum_(l=1..m) W_(m-l) H_(k-l) give the quotient
+      sum_k H_k z^(N-m-k), so the quotient of x^N by w is the scaled
+      list (L, [H_0, ..., H_(N-m)], 1), compared with `part`;
+    - (i) is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1) for the residue
+      r_j / q_j at a_j = t_j / u_j, with W'(b_j) = L^(m-1) w'(a_j)
+      computed once per call, and t_j^n and u_j^n stepped here, never
+      by the decomposition's `_powers`.
     """
     m = poles.m
     L, b, W = node_polynomial(poles.values)
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
+    # (ii) the quotient of z^N by W, leading coefficient first
     N = residues[-1][0]
-    Lpow = list(accumulate(repeat(L, max(N, m)), mul, initial=1))
-    # (ii) D L^m [x^d](part * w) == D L^m [x^d] x^N for every d >= m, with
-    # L^m w(x) = sum_l W_l L^l x^l and the part ascending over
-    # D = f Q^(len(X)-1): C[j] = X[len(X)-1-j] Q^j; high[t] is degree m + t
-    Q, X, f = part
-    Qpow = list(accumulate(repeat(Q, max(len(X) - 1, 0)), mul, initial=1))
-    C, D = list(map(mul, reversed(X), Qpow)), f * Qpow[-1]
-    high = [0] * (max(N, len(C) - 1 + m) - m + 1)
-    for l in range(max(0, m - len(C) + 1), m + 1):
-        terms = C[m - l:]
-        high[:len(terms)] = map(add, high[:len(terms)], map((W[l] * Lpow[l]).__mul__, terms))
-    want = [0] * len(high)
-    if N >= m:
-        want[N - m] = D * Lpow[m]
-    if high != want:
+    lower = W[m - 1::-1]  # W_(m-1), ..., W_0
+    H = [1] if N >= m else []
+    for _ in range(N - m):
+        H.append(-sum(map(mul, lower, reversed(H[-m:]))))
+    if not _equal(part, (L, H, 1)):
         return False
+    # (i) at every pole, for each n
     dW = derivative(W)
     slopes = [evaluate(dW, bj) for bj in b]
-    bn, last = [1] * m, 0  # b_j^last, stepped across the ascending powers
+    scale = L ** (m - 1)
+    ts = [a.numerator for a in poles.values]
+    us = [a.denominator for a in poles.values]
+    tn, un, last = [1] * m, [1] * m, 0  # t_j^last and u_j^last
     for n, nums, dens in residues:
         if len(nums) != m:
             return False
-        if n > last:
-            bn = list(map(mul, bn, _powers(b, n - last)))
-            last = n
-        # (i) r_j W'(b_j) / L^(m-1) == b_j^n / L^n, cross-multiplied
-        s = min(n, m - 1)
-        left, right = Lpow[n - s], Lpow[m - 1 - s]
-        for r, q, bjn, slope in zip(nums, dens, bn, slopes):
-            if r * slope * left != bjn * q * right:
+        gap, last = n - last, n
+        tn = [x * t**gap for x, t in zip(tn, ts)]
+        un = [x * u**gap for x, u in zip(un, us)]
+        for r, q, t, u, slope in zip(nums, dens, tn, un, slopes):
+            if r * u * slope != q * t * scale:
                 return False
     return True
 

@@ -624,6 +624,26 @@ class TestVerifierIndependence:
         assert good[-1] == "reconstruction check: ok"
         assert bad == [*good[:-1], "reconstruction check: FAILED"]
 
+    def test_wrong_residue_powers_fail_decompose(self, capsys, monkeypatch):
+        # The residues' a_i^n come from partfrac._powers; reconstruct steps
+        # its own t_j^n and u_j^n.  One step of k = 5 here, one power too many.
+        true_powers = partfrac._powers
+        monkeypatch.setattr(partfrac, "_powers", lambda xs, k: (
+            true_powers(xs, k) if k == 1 else [pow(x, k + 1) for x in xs]))
+        code, res = run_json(capsys, ["decompose", "1 2 3", "--n", "5"])
+        assert code == 1
+        assert res["decomposition"]["reconstructed"] is False
+
+    def test_wrong_residue_step_fails_verify(self, capsys, monkeypatch):
+        # verify steps the residues one power at a time, k = 1, here squared
+        true_powers = partfrac._powers
+        monkeypatch.setattr(partfrac, "_powers", lambda xs, k: (
+            [x * x for x in xs] if k == 1 else true_powers(xs, k)))
+        code, res = run_json(capsys, ["verify", "1 2 3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decompositions reconstruct exactly"}
+
     @staticmethod
     def wrong_last_entry(monkeypatch, module, name):
         """Make `module`'s binding of the kernel `name`, which returns a

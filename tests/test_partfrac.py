@@ -172,12 +172,24 @@ class TestReconstruct:
         assert reconstruct(wrong, pfd) is False
 
     def test_quotient_multiplied_out_once_per_call(self, monkeypatch):
-        # lcm puts a part over one denominator, once per product part * w
+        # x^N is divided by w once per batch, and its quotient is compared
+        # with the largest part by one `_equal`; every other part is a tail
         calls = []
-        true_lcm = partfrac.lcm
-        monkeypatch.setattr(partfrac, "lcm", lambda *a: calls.append(a) or true_lcm(*a))
+        true_equal = partfrac._equal
+        monkeypatch.setattr(partfrac, "_equal", lambda *a: calls.append(a) or true_equal(*a))
         assert reconstruct(*decompositions(SIX, 20)) is True
         assert len(calls) == 1
+
+    def test_padded_largest_part(self):
+        # A zero leading coefficient leaves the largest part as it is, alone
+        # or in a batch; one coefficient short, it is not the quotient.
+        pfds = decompositions(SIX, 12)
+        part = pfds[12].polynomial_part  # [h_6, ..., h_0]
+        padded = self.with_part(pfds[12], [*part, F(0)])
+        short = self.with_part(pfds[12], part[1:])
+        assert reconstruct(padded) is True
+        assert reconstruct(*pfds[:12], padded) is True
+        assert reconstruct(short) is False
 
     def test_different_poles_raise(self):
         with pytest.raises(ValueError):
