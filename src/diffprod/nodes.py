@@ -45,8 +45,10 @@ class NodeSet:
 
     The integer form, the difference products and the integers behind the
     elementary values are computed on first use and kept on the instance,
-    so each is built once per node set.  The cached attributes are not
-    fields: equality and hashing see only `values`.
+    so each is built once per node set.  The integer form feeds only the
+    elementary values; the products are built from the values themselves.
+    The cached attributes are not fields: equality and hashing see only
+    `values`.
     """
 
     values: tuple
@@ -63,7 +65,8 @@ class NodeSet:
 
     @cached_property
     def products(self) -> tuple:
-        """The signed difference products A_i, as diff_products returns them."""
+        """The signed difference products A_i, as diff_products returns them:
+        from each node's own numerator and denominator, not from `scaled`."""
         return tuple(diff_products(self))
 
     @cached_property
@@ -111,14 +114,18 @@ def nodeset_new(values: Sequence) -> NodeSet:
 def diff_products(ns: NodeSet) -> list[Fraction]:
     """Signed products A_i = prod_{j != i}(a_i - a_j); [1] for a singleton.
 
-    Each is an integer product of the scaled nodes, prod_{j != i}(b_i - b_j),
-    divided by L^(m-1) once.
+    From the nodes' own a_i = p_i/q_i, never from ns.scaled: each factor is
+    the cross-difference (p_i q_j - p_j q_i) / (q_i q_j), so A_i is the
+    integer U_i = prod_{j != i}(p_i q_j - p_j q_i) over
+    q_i^(m-1) * (Q // q_i), with Q = prod q_j.
     """
-    L, b = ns.scaled
-    scale = L ** (ns.m - 1)
+    pq = [(a.numerator, a.denominator) for a in ns.values]
+    Q = prod(q for _, q in pq)
+    k = ns.m - 1
     return [
-        Fraction(prod(bi - bj for j, bj in enumerate(b) if j != i), scale)
-        for i, bi in enumerate(b)
+        Fraction(prod(p * qj - pj * q for j, (pj, qj) in enumerate(pq) if j != i),
+                 q**k * (Q // q))
+        for i, (p, q) in enumerate(pq)
     ]
 
 
@@ -161,9 +168,16 @@ def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> tupl
     The weights go over one denominator D as integers N_i; the power kernel
     of `symmetric` gives L, the values' own lcm, and X[n] =
     sum N_i (a_i*L)^n, which is the sum over D L^n."""
-    D = lcm(*(d for _, d in weights))
+    D = _lcm([d for _, d in weights])
     L, sums = _power_ladder([n * (D // d) for n, d in weights], values, nmax)
     return L, sums, D
+
+
+def _lcm(xs: list) -> int:
+    """lcm(*xs) as the lcm of its two halves' lcms, down to pairs, so that
+    each lcm joins operands of about the same size."""
+    n = len(xs)
+    return lcm(*xs) if n < 3 else lcm(_lcm(xs[:n // 2]), _lcm(xs[n // 2:]))
 
 
 def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:
@@ -188,7 +202,7 @@ def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:
     Returns (numerators, denominator) with sum(numerators)/denominator equal
     to the sum of the inputs.
     """
-    den = lcm(*(f.denominator for f in fractions))
+    den = _lcm([f.denominator for f in fractions])
     nums = [f.numerator * (den // f.denominator) for f in fractions]
     return nums, den
 

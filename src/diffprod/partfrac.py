@@ -161,7 +161,8 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
     - (i) is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1) for the residue
       r_j / q_j at a_j = t_j / u_j, with W'(b_j) = L^(m-1) w'(a_j)
       computed once per call, and t_j^n and u_j^n stepped here, never
-      by the decomposition's `_powers`.
+      by the decomposition's `_powers`.  A q_j of 0 fails it: the pair
+      (0, 0) would make both sides 0.
     """
     m = poles.m
     L, b, W = node_polynomial(poles.values)
@@ -189,7 +190,7 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
         tn = [x * t**gap for x, t in zip(tn, ts)]
         un = [x * u**gap for x, u in zip(un, us)]
         for r, q, t, u, slope in zip(nums, dens, tn, un, slopes):
-            if r * u * slope != q * t * scale:
+            if not q or r * u * slope != q * t * scale:
                 return False
     return True
 

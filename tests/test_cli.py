@@ -517,9 +517,12 @@ class TestSharedParser:
 
 
 class TestVerifierIndependence:
-    """A wrong cached integer form must make verify fail: the products it
-    feeds are checked against the derivative route, which never reads it.
-    Likewise for the per-set objects of the partial-fraction routes."""
+    """A wrong cached integer form must make verify fail: ns.scaled feeds
+    only the e-list, which the e-route and Newton read and the power-sum
+    route and the brute-force oracle never do.  The products come from the
+    nodes' own numerators and denominators and are checked against the
+    derivative route, which builds its own node polynomial.  Likewise for
+    the per-set objects of the partial-fraction routes."""
 
     @staticmethod
     def wrong_scale(L, b):
@@ -531,13 +534,58 @@ class TestVerifierIndependence:
 
     @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
     def test_wrong_scaled_form_fails_verify(self, corrupt, capsys, monkeypatch):
+        # The products do not read ns.scaled, so their check passes; verify
+        # fails through the three checks that read the e-list.
         true_scaled = nodes.NodeSet.scaled.func
         monkeypatch.setattr(nodes.NodeSet, "scaled",
                             property(lambda ns: corrupt(*true_scaled(ns))))
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
-        failed = {c["name"] for c in res["checks"] if not c["ok"]}
-        assert "difference products match derivative route" in failed
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "homogeneous recurrences agree",
+            "homogeneous recurrences match brute force",
+            "newton round trip",
+        }
+
+    @staticmethod
+    def wrong_cross_difference(monkeypatch):
+        """Make diff_products' first row of cross-differences, that of the
+        smallest node, have its first factor off by one.  Its first prod is
+        Q, the product of the denominators."""
+        true_prod = nodes.prod
+        calls = []
+
+        def wrong(factors):
+            factors = list(factors)
+            calls.append(factors)
+            if len(calls) == 2:
+                factors[0] += 1
+            return true_prod(factors)
+
+        monkeypatch.setattr(nodes, "prod", wrong)
+
+    def test_wrong_cross_difference_fails_verify(self, capsys, monkeypatch):
+        self.wrong_cross_difference(monkeypatch)
+        self.verify_fails(capsys, "difference products match derivative route")
+
+    def test_wrong_cross_difference_fails_table(self, capsys, monkeypatch):
+        self.wrong_cross_difference(monkeypatch)
+        assert cli.run(["table", "1/2 -3 7/3 4", "--nmax", "6"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "NO"
+
+    def test_zero_residue_pairs_fail_verify(self, capsys, monkeypatch):
+        # A residue pair (0, 0) makes both sides of check (i) 0.
+        true_decompositions = cli._scaled_decompositions
+
+        def zeroed(poles, powers):
+            h, residues = true_decompositions(poles, powers)
+            return h, [(n, [0] * len(r), [0] * len(q)) for n, r, q in residues]
+
+        monkeypatch.setattr(cli, "_scaled_decompositions", zeroed)
+        code, res = run_json(capsys, ["verify", "1 2 3"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decompositions reconstruct exactly"}
 
     @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
     def test_wrong_scaled_form_fails_e_routes(self, corrupt, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
@@ -18,7 +18,7 @@ from diffprod import (
     homogeneous_brute_force,
     nodeset_new,
 )
-from diffprod.nodes import common_denominator_form
+from diffprod.nodes import _lcm, common_denominator_form
 from .strategies import EDGE_SETS, node_sets, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -73,6 +73,28 @@ def inline_products(vals):
     return [prod((a - b for b in vals if b != a), start=F(1)) for a in vals]
 
 
+BIG = 10**40
+big_ints = st.integers(-BIG, BIG)
+# Primes of 2 to 127 bits, so that denominators drawn from them without
+# repetition are pairwise coprime and their lcm is their product.
+PRIMES = [2, 3, 5, 7, 11, 13, 97, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+
+
+def distinct_node_sets(values):
+    return st.lists(values, min_size=1, max_size=8, unique=True).map(nodeset_new)
+
+
+large_node_sets = st.one_of(
+    # numerators and denominators up to 10**40
+    distinct_node_sets(st.builds(F, big_ints, st.integers(1, BIG))),
+    # pairwise-coprime denominators
+    st.lists(st.tuples(big_ints, st.sampled_from(PRIMES)), min_size=1, max_size=8,
+             unique_by=lambda pq: pq[1]).map(lambda pqs: nodeset_new({F(p, q) for p, q in pqs})),
+    # integers only
+    distinct_node_sets(big_ints),
+)
+
+
 class TestDiffProducts:
     def test_four_nodes(self):
         assert diff_products(FOUR) == [-90, 18, -10, 18]
@@ -93,6 +115,13 @@ class TestDiffProducts:
     def test_edge_sets_match_inline_fraction_products(self, values):
         ns = nodeset_new(values)
         assert diff_products(ns) == inline_products(ns.values)
+        assert diff_products(ns) == diff_products_via_derivative(ns)
+
+    @given(large_node_sets)
+    def test_large_entries_match_inline_and_derivative_route(self, ns):
+        got = diff_products(ns)
+        assert got == inline_products(ns.values)
+        assert got == diff_products_via_derivative(ns)
 
     @given(node_sets)
     def test_sign_parity(self, ns):
@@ -198,6 +227,16 @@ class TestExpectedEulerSum:
     def test_negative_exponent(self):
         with pytest.raises(NegativeExponent):
             expected_euler_sums(SIX, -2)
+
+
+class TestPairwiseLcm:
+    @given(st.lists(big_ints, min_size=1, max_size=20))
+    def test_matches_flat_lcm(self, xs):
+        assert _lcm(xs) == lcm(*xs)
+
+    @pytest.mark.parametrize("xs", [[-6], [-4, 6], [0, -3, 5]])
+    def test_negative_and_short_lists(self, xs):
+        assert _lcm(xs) == lcm(*xs)
 
 
 class TestCommonDenominatorForm:
