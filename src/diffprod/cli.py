@@ -8,17 +8,17 @@ limits below.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import functools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from operator import mul
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .nodes import (
     DuplicateNode,
@@ -33,6 +33,9 @@ from .nodes import (
 )
 from .partfrac import _reconstructs, _route_sums, _scaled_decompositions
 from .symmetric import _equal, _h_brute_force, _h_elementary, _matches, _p_newton, _power_routes
+
+if TYPE_CHECKING:
+    import argparse
 
 # Input limits, so that no input runs unbounded: the largest --n, --nmax or
 # --kmax, the most nodes in a set, and the largest @file in bytes.
@@ -350,44 +353,66 @@ def _print_verify(res: dict) -> None:
           else "verification FAILED")
 
 
+class _Verb(NamedTuple):
+    """One verb: the runner that computes its result, the printer that
+    writes that result as text, `holds` (False exits 1: a check the verb
+    reports failed), and its exponent option, with that option's default
+    or `required`.  `help` and `option_help` are its help texts."""
+
+    help: str
+    runner: Callable
+    printer: Callable
+    holds: Callable
+    option: str
+    option_help: str
+    default: int | None = None  # None: m + 4, see _exponent
+    required: bool = False
+
+
+_VERBS = {
+    "weights": _Verb("difference products and the alternating-sign display",
+                     _run_weights, _print_weights, lambda res: True,
+                     "--n", "power in the numerators", default=0),
+    "table": _Verb("tabulate the sums against their closed forms",
+                   _run_table, _print_table, lambda res: all(r["match"] for r in res["rows"]),
+                   "--nmax", "largest power (default m+4)"),
+    "decompose": _Verb("partial fraction decomposition of x^n over the nodes",
+                       _run_decompose, _print_decompose,
+                       lambda res: res["decomposition"]["reconstructed"],
+                       "--n", "numerator power", required=True),
+    "symmetric": _Verb("elementary, power-sum, and homogeneous tables",
+                       _run_symmetric, _print_symmetric,
+                       lambda res: all(res["agreement"].values()),
+                       "--kmax", "table depth (default m+4)"),
+    "verify": _Verb("run every identity check; exit 0 iff all hold",
+                    _run_verify, _print_verify, lambda res: res["all_identities_hold"],
+                    "--nmax", "largest power (default m+4)"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process and shared by every
-    `run` call, so an in-process call pays only for its verb.  Callers must
-    not mutate it.  Each verb's runner, printer and `holds` test (False
-    exits 1: a check the verb reports failed) are bound when it is built;
-    help width is read when help is printed, not here.  Its `verbs` maps
-    each verb to its own sub-parser."""
+    """The CLI's argument parser, built from `_VERBS` on the first call that
+    needs it and shared by every later one; a plain argv needs none (see
+    `_read_plain`).  Callers must not mutate it.  Help width is read when
+    help is printed, not here.  Its `verbs` maps each verb to its own
+    sub-parser, whose namespace carries the verb's runner, printer and
+    `holds`."""
+    import argparse  # here, so that a launch with a plain argv never imports it
+
     parser = argparse.ArgumentParser(
         prog="diffprod",
         description="Exact difference-product sums, their closed forms, "
                     "and partial fraction decompositions.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, help_text, runner, printer, holds, option, option_help, **option_kw):
-        sp = sub.add_parser(verb, help=help_text)
+    for name, verb in _VERBS.items():
+        sp = sub.add_parser(name, help=verb.help)
         sp.add_argument("nodes", help="node list, e.g. \"3 8 12 15 17 18\" or @file")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument(option, type=int, dest="exponent", metavar=option[2:].upper(),
-                        help=option_help, **option_kw)
-        sp.set_defaults(runner=runner, printer=printer, holds=holds)
-
-    add("weights", "difference products and the alternating-sign display",
-        _run_weights, _print_weights, lambda res: True,
-        "--n", "power in the numerators", default=0)
-    add("table", "tabulate the sums against their closed forms",
-        _run_table, _print_table, lambda res: all(r["match"] for r in res["rows"]),
-        "--nmax", "largest power (default m+4)")
-    add("decompose", "partial fraction decomposition of x^n over the nodes",
-        _run_decompose, _print_decompose, lambda res: res["decomposition"]["reconstructed"],
-        "--n", "numerator power", required=True)
-    add("symmetric", "elementary, power-sum, and homogeneous tables",
-        _run_symmetric, _print_symmetric, lambda res: all(res["agreement"].values()),
-        "--kmax", "table depth (default m+4)")
-    add("verify", "run every identity check; exit 0 iff all hold",
-        _run_verify, _print_verify, lambda res: res["all_identities_hold"],
-        "--nmax", "largest power (default m+4)")
+        sp.add_argument(verb.option, type=int, dest="exponent", metavar=verb.option[2:].upper(),
+                        help=verb.option_help, default=verb.default, required=verb.required)
+        sp.set_defaults(runner=verb.runner, printer=verb.printer, holds=verb.holds)
     parser.verbs = sub.choices
     return parser
 
@@ -404,32 +429,83 @@ def _exponent(value: int | None, ns: NodeSet) -> int:
 
 
 def render_json(result: dict) -> str:
-    return json.dumps(result, indent=2)
+    """json.dumps(result, indent=2), byte for byte, for the str, bool, int,
+    list and dict values a verb returns; TypeError on any other value.
+    Joined from strings here, since `indent` sends json.dumps to its
+    pure-Python encoder."""
+    return _json(result, "\n")
 
 
-@contextlib.contextmanager
-def _int_str_unlimited():
-    """Lift CPython's limit on int <-> str conversion (4300 digits), so that
-    exact output of any size can be written, and restore it on the way out:
-    `run` is also called in-process.  Interpreters without the limit run as
-    they are."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
-        yield
-        return
-    old = limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+def _json(value, newline: str) -> str:
+    """`value` as JSON whose nested lines start with `newline` + 2 spaces."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join([_json(v, inner) for v in value])}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """The parsed argv.  An argv that starts with a verb goes straight to
-    that verb's parser, the call the top-level parser makes for it; any
-    other argv, or one with arguments left over, goes to the top-level
-    parser, so that its usage and error text stay the same."""
+def _read_plain(argv) -> SimpleNamespace | None:
+    """The namespace the verb's own parser gives for a plain argv, read
+    straight off `_VERBS`; None for any other argv.  A plain argv is
+    VERB [nodes] [--format text|json] [OPTION ASCII-DIGITS], in any order
+    and each at most once, with a node list that argparse reads as a
+    positional too: one that does not start with "-", or "-<digit>..."
+    with a space in it."""
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    nodes = fmt = exponent = None
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--format" and fmt is None:
+            fmt = next(rest, "")
+            if fmt not in ("text", "json"):
+                return None
+        elif arg == verb.option and exponent is None:
+            value = next(rest, "")
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                exponent = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif nodes is None and (arg[:1] != "-" or (" " in arg and "0" <= arg[1:2] <= "9")):
+            nodes = arg
+        else:
+            return None
+    if nodes is None or (exponent is None and verb.required):
+        return None
+    return SimpleNamespace(
+        nodes=nodes, format=fmt or "text",
+        exponent=verb.default if exponent is None else exponent,
+        runner=verb.runner, printer=verb.printer, holds=verb.holds)
+
+
+def _parse_args(argv):
+    """The parsed argv.  A plain argv is read by `_read_plain`.  Any other
+    argv that starts with a verb goes to that verb's parser, the call the
+    top-level parser makes for it; any other argv, or one with arguments
+    left over, goes to the top-level parser, so that its usage and error
+    text stay the same."""
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     parser = build_parser()
     verb_parser = parser.verbs.get(argv[0]) if argv else None
     if verb_parser is not None:
@@ -437,6 +513,14 @@ def _parse_args(argv) -> argparse.Namespace:
         if not rest:
             return args
     return parser.parse_args(argv)
+
+
+# CPython limits int <-> str conversion to 4300 digits.  `run` lifts the
+# limit, so that exact output of any size can be written, and restores it
+# on the way out, since it is also called in-process.  Interpreters
+# without the limit get a pair that does nothing.
+_get_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_str_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def run(argv) -> int:
@@ -449,7 +533,9 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    with _int_str_unlimited():
+    old_limit = _get_str_digits()
+    _set_str_digits(0)
+    try:
         result = args.runner(ns, exponent)
         code = 0 if args.holds(result) else 1
         try:
@@ -463,6 +549,8 @@ def run(argv) -> int:
             # the flush at interpreter exit does not raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        _set_str_digits(old_limit)
     return code
 
 

@@ -100,15 +100,19 @@ class FractionTable:
 
 def nodeset_new(values: Sequence) -> NodeSet:
     """Validate, canonicalize (sort ascending), and freeze a node list."""
-    vals = sorted(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     if not vals:
         raise EmptyNodeSet("node set must contain at least one value")
-    # equal reduced fractions have equal (numerator, denominator) pairs
-    pairs = [(a.numerator, a.denominator) for a in vals]
-    for a, p, q in zip(vals, pairs, pairs[1:]):
-        if p == q:
-            raise DuplicateNode(a)
-    return NodeSet(tuple(vals))
+    # Sorted by the integers a_i*L, L the lcm of the denominators: they
+    # order the nodes as the Fractions do, compare faster, and are equal
+    # exactly when the nodes are.
+    L = _lcm([a.denominator for a in vals])
+    keys = [a.numerator * (L // a.denominator) for a in vals]
+    order = sorted(range(len(vals)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            raise DuplicateNode(vals[i])
+    return NodeSet(tuple(vals[i] for i in order))
 
 
 def diff_products(ns: NodeSet) -> list[Fraction]:

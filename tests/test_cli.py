@@ -385,6 +385,22 @@ class TestVerbs:
         assert "-90" in out and "18" in out
 
 
+@contextlib.contextmanager
+def int_str_unlimited():
+    """Lift CPython's 4300-digit int <-> str limit for the block, as `run`
+    does for its own output."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 class TestLargeOutput:
     """Exact values past CPython's 4300-digit int <-> str limit are printed,
     not a traceback.  On the nodes a = 100000, b = a + 1 every value has a
@@ -405,7 +421,7 @@ class TestLargeOutput:
 
     def test_table(self, capsys):
         out = self.output(capsys, ["table", f"{self.A} {self.B}", "--nmax", str(self.N)])
-        with cli._int_str_unlimited():
+        with int_str_unlimited():
             sums = [str(self.B**n - self.A**n) for n in range(self.N + 1)]
             w = len(sums[-1])
             expected = [f"nodes (m=2): {self.A} {self.B}",
@@ -415,7 +431,7 @@ class TestLargeOutput:
 
     def test_weights(self, capsys):
         out = self.output(capsys, ["weights", f"{self.A} {self.B}", "--n", str(self.N)])
-        with cli._int_str_unlimited():
+        with int_str_unlimited():
             a, b = str(self.A**self.N), str(self.B**self.N)
             expected = [
                 f"nodes (m=2): {self.A} {self.B}",
@@ -428,7 +444,7 @@ class TestLargeOutput:
 
     def test_decompose(self, capsys):
         out = self.output(capsys, ["decompose", f"{self.A} {self.B}", "--n", str(self.N)])
-        with cli._int_str_unlimited():
+        with int_str_unlimited():
             # polynomial part: x^(N-2) + h_1 x^(N-3) + ... + h_(N-2)
             part = f"x^{self.N - 2}"
             for k in range(1, self.N - 1):
@@ -467,8 +483,11 @@ class TestSharedParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    # "--form" is an abbreviation, which only argparse reads.
+    PARSED = ["weights", "1 2 3", "--form", "text"]
+
     def test_later_runs_construct_no_parser(self, capsys, monkeypatch):
-        cli.run(["weights", "1 2 3"])
+        cli.run(self.PARSED)
         built = []
         original = argparse.ArgumentParser.__init__
 
@@ -477,13 +496,19 @@ class TestSharedParser:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        for _ in range(20):
+        for _ in range(10):
+            assert cli.run(self.PARSED) == 0
             assert cli.run(["weights", "1 2 3"]) == 0
         assert built == []
         # The wrapper does see constructions: a cleared cache builds anew.
         cli.build_parser.cache_clear()
-        assert cli.run(["weights", "1 2 3"]) == 0
+        assert cli.run(self.PARSED) == 0
         assert built
+
+    def test_plain_argv_builds_no_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.run(["weights", "1 2 3"]) == 0
+        assert cli.build_parser.cache_info().currsize == 0
 
     def test_a_verb_is_parsed_by_its_own_parser(self, monkeypatch):
         # An argv that starts with a verb and leaves nothing over never
@@ -516,6 +541,118 @@ class TestSharedParser:
             cli.build_parser.cache_clear()
 
 
+# Pieces of argv: verbs and near-verbs, options and their abbreviations,
+# "--opt=v", "--" and help, option values (signed, Unicode and fullwidth
+# digits, one past the int() digit limit), and node lists, negative-first
+# ones with and without a space among them.
+VERB_WORDS = ["weights", "table", "decompose", "symmetric", "verify", "tab", "frobnicate", ""]
+OPTION_WORDS = ["--format", "--form", "--f", "--n", "--nm", "--nmax", "--kmax", "--k", "-n",
+                "--format=json", "--n=3", "--nmax=4", "--", "-h", "--help", "---format"]
+VALUE_WORDS = ["text", "json", "xml", "0", "3", "007", "-1", "+2", "1_0", " 4",
+               "\u0663", "\uff13", "9" * 5000]
+NODE_WORDS = ["1 2 3", "1/2 -3 7/3", "-3 1/2 2", "-1/2 3", "-1/2,3", "-1", "-h 2", "-x 2",
+              "--1 2", "- 1 2", "-\u0663 2", "-\uff11 2", "-", "", "@nodes.txt"]
+
+
+ALL_WORDS = VERB_WORDS + OPTION_WORDS + VALUE_WORDS + NODE_WORDS
+
+
+@st.composite
+def plain_like_argvs(draw):
+    """A verb and some of its node list, --format and exponent option (at
+    times another option word) with their values, in any order; then, at
+    times, one word replaced by or one word added from ALL_WORDS."""
+    verb = draw(st.sampled_from(VERB_WORDS[:5]))
+    groups = [[draw(st.sampled_from(NODE_WORDS[:4]))],
+              ["--format", draw(st.sampled_from(["text", "json"]))],
+              [draw(st.sampled_from([cli._VERBS[verb].option] * 8 + OPTION_WORDS)),
+               draw(st.sampled_from(["0", "3", "007"]))]]
+    argv = [verb]
+    for g in draw(st.permutations(range(3)))[:draw(st.integers(1, 3))]:
+        argv += groups[g]
+    change = draw(st.sampled_from(["none", "none", "replace", "insert"]))
+    word = draw(st.sampled_from(ALL_WORDS))
+    at = draw(st.integers(0, len(argv)))
+    if change == "replace" and at < len(argv):
+        argv[at] = word
+    elif change == "insert":
+        argv.insert(at, word)
+    return argv
+
+
+json_values = st.recursive(
+    st.text() | st.booleans() | st.integers(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestPlainArgv:
+    """A plain argv is read off the verb table, without argparse, into the
+    namespace the verb's own parser gives; any other argv goes to argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        plain_like_argvs(),
+        plain_like_argvs(),  # twice, so that more argvs are plain
+        st.lists(st.sampled_from(ALL_WORDS), max_size=7),
+    ))
+    def test_accepted_argv_parses_the_same_by_argparse(self, argv):
+        plain = cli._read_plain(argv)
+        if plain is not None:
+            args, rest = cli.build_parser().verbs[argv[0]].parse_known_args(argv[1:])
+            assert rest == []
+            assert vars(args) == vars(plain)
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "1 2 3"],
+        ["weights", "-1/2 3", "--format", "json"],
+        ["table", "--format", "text", "-3 1/2 2", "--nmax", "007"],
+        ["decompose", "--n", "0", "1/2 -3"],
+        ["symmetric", "1 2", "--kmax", "4", "--format", "json"],
+        ["verify", ""],
+    ])
+    def test_plain_argv_is_read_directly(self, argv):
+        assert cli._read_plain(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["weights", "--help"], ["weights"], ["decompose", "1 2"],
+        ["weights", "--", "-1/2,3"], ["weights", "-1/2,3"], ["weights", "-h 2"],
+        ["table", "1 2", "--form", "json"], ["table", "1 2", "--nmax=4"],
+        ["table", "1 2", "--nmax", "3", "--nmax", "4"], ["table", "1 2", "--n", "3"],
+        ["table", "1 2", "--nmax", "-1"], ["table", "1 2", "--nmax", "\uff13"],
+        ["table", "1 2", "--nmax", "9" * 5000], ["table", "1 2", "--format", "xml"],
+        ["weights", "1 2", "extra"], ["--", "table", "1 2"],
+    ])
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(indent=2) by its own
+    joins, for the value types the verbs return."""
+
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    def test_nested_values_match_json_dumps(self):
+        value = {
+            "text": ["caf\u00e9 \u2211 \U0001d400", 'say "hi"\\', "\x00\x1f\t\n\x7f"],
+            "empty": [[], {}, ""],
+            "flags": [True, 1, False, 0, -1],
+            "nested": {"a": [{"b": {}}], "\u00e9": {"c": [True]}},
+            "big": [10**5000, -(7**6000)],
+        }
+        with int_str_unlimited():
+            assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, None, (1, 2), {"a": [1, 0.0]}, {1: "a"}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli.render_json(value)
+
+
 class TestVerifierIndependence:
     """A wrong cached integer form must make verify fail: ns.scaled feeds
     only the e-list, which the e-route and Newton read and the power-sum
@@ -535,7 +672,9 @@ class TestVerifierIndependence:
     @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
     def test_wrong_scaled_form_fails_verify(self, corrupt, capsys, monkeypatch):
         # The products do not read ns.scaled, so their check passes; verify
-        # fails through the three checks that read the e-list.
+        # fails through the three checks that read the e-list: the e-route
+        # and Newton read it, the power sums, the power-sum route and the
+        # brute-force oracle read only the node values.
         true_scaled = nodes.NodeSet.scaled.func
         monkeypatch.setattr(nodes.NodeSet, "scaled",
                             property(lambda ns: corrupt(*true_scaled(ns))))
@@ -586,15 +725,6 @@ class TestVerifierIndependence:
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
             "decompositions reconstruct exactly"}
-
-    @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
-    def test_wrong_scaled_form_fails_e_routes(self, corrupt, capsys, monkeypatch):
-        # The e-route and Newton read ns.scaled through the e-list; the power
-        # sums and the power-sum route read only the node values.
-        true_scaled = nodes.NodeSet.scaled.func
-        monkeypatch.setattr(nodes.NodeSet, "scaled",
-                            property(lambda ns: corrupt(*true_scaled(ns))))
-        self.verify_fails(capsys, "homogeneous recurrences agree", "newton round trip")
 
     @staticmethod
     def verify_fails(capsys, *checks):

@@ -56,6 +56,10 @@ CASES = {
     "error_separator_before_verb": ["--", "table", "1 2"],
     "error_bad_option_value": ["table", "1 2", "--nmax=x"],
     "table_abbreviated_option": ["table", "1 2", "--form", "json"],
+    # a negative-first node list with a space, read without argparse
+    "table_negative_first_json": ["table", "-3 1/2 2", "--format", "json"],
+    # an option given twice, which argparse reads: the last value counts
+    "table_repeated_option": ["table", "1 2", "--nmax", "3", "--nmax", "4"],
 }
 
 

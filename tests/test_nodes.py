@@ -41,6 +41,23 @@ class TestNodeSetNew:
         with pytest.raises(EmptyNodeSet):
             nodeset_new([])
 
+    @given(st.lists(st.one_of(
+        rationals,
+        st.integers(-10**40, 10**40),
+        st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    ), min_size=1, max_size=12))
+    def test_order_and_duplicate_match_sorted_fractions(self, values):
+        # nodeset_new sorts by integer keys; sorted() compares the Fractions.
+        # The first adjacent equal pair of the sorted list names the duplicate.
+        expected = sorted(map(F, values))
+        dup = next((a for a, b in zip(expected, expected[1:]) if a == b), None)
+        if dup is None:
+            assert nodeset_new(values).values == tuple(expected)
+        else:
+            with pytest.raises(DuplicateNode) as exc:
+                nodeset_new(values)
+            assert exc.value.value == dup and type(exc.value.value) is F
+
     def test_cache_leaves_equality_and_hash_alone(self):
         filled, fresh = nodeset_new([2, 5, 7, 8]), nodeset_new([8, 7, 5, 2])
         before = hash(filled)
