@@ -32,7 +32,8 @@ from .nodes import (
     nodeset_new,
 )
 from .partfrac import _reconstructs, _route_sums, _scaled_decompositions
-from .symmetric import _equal, _h_brute_force, _h_elementary, _matches, _p_newton, _power_routes
+from .symmetric import (_elementary, _equal, _h_brute_force, _h_elementary, _matches,
+                        _p_newton, _power_routes)
 
 if TYPE_CHECKING:
     import argparse
@@ -252,12 +253,12 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     whether Newton's identities give back the direct power sums.
     """
     # Each route picks its own scale: the e-route and Newton read
-    # E_1..E_min(kmax, m) off ns.scaled_elementary, so off ns.scaled, while
-    # the power sums, the power-sum route and the brute-force oracle read
-    # only the node values.  So a wrong ns.scaled shows up as a disagreement.
-    # The power sums and the power-sum route share one power ladder.  The
-    # closed forms and the decompositions' parts take h from the oracle's
-    # kernel, so here the e-recurrence is what checks that kernel.
+    # E_1..E_min(kmax, m) off ns.polynomial, while the power sums, the
+    # power-sum route and the brute-force oracle read only the node values.
+    # So a wrong ns.polynomial shows up as a disagreement.  The power sums
+    # and the power-sum route share one power ladder.  The closed forms and
+    # the decompositions' parts take h from the oracle's kernel, so the
+    # e-recurrence checks that kernel, here and in `_reconstructs`.
     p, h_p = _power_routes(ns, kmax)
     h_e = _h_elementary(ns, kmax)
     h_bf = _h_brute_force(ns, kmax)
@@ -271,13 +272,12 @@ def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
     # prints the same strings, one that does not prints its own.
     e_ok, p_ok = _equal(h_e, h_bf), _equal(h_p, h_bf)
     h = _fmt_scaled(*h_bf)
-    E = ns.scaled_elementary[: kmax + 1]  # e_k = 0 for k > m
     return {
         "verb": "symmetric",
         **_nodes_header(ns),
         "kmax": kmax,
         "tables": {
-            "e": _fmt_scaled(ns.scaled[0], E, 1) + ["0"] * (kmax + 1 - len(E)),
+            "e": _fmt_scaled(*_elementary(ns, kmax)),
             "p": _fmt_scaled(*p),
             "h_via_elementary": h if e_ok else _fmt_scaled(*h_e),
             "h_via_power_sums": h if p_ok else _fmt_scaled(*h_p),

@@ -5,6 +5,9 @@ With the nodes sorted ascending the products alternate in sign, the largest
 node's product being positive.  The central fact implemented here: the sum
 of a_i^n / A_i vanishes for every 0 <= n <= m-2 and equals the complete
 homogeneous value h_{n-m+1} from n = m-1 onward.
+
+A node set's polynomial prod(z - a_i) is multiplied out once, on integers
+(`NodeSet.polynomial`), and every check on the e side reads it.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ class NegativeExponent(ValueError):
 class NodeSet:
     """Strictly ascending tuple of distinct rationals.
 
-    The integer form, the difference products and the integers behind the
-    elementary values are computed on first use and kept on the instance,
-    so each is built once per node set.  The integer form feeds only the
-    elementary values; the products are built from the values themselves.
+    The difference products and the node polynomial are computed on first
+    use and kept on the instance, so each is built once per node set.  The
+    products are built from the values themselves; the node polynomial
+    feeds only checks (the derivative route, the e-list and `reconstruct`).
     The cached attributes are not fields: equality and hashing see only
     `values`.
     """
@@ -58,26 +61,18 @@ class NodeSet:
         return len(self.values)
 
     @cached_property
-    def scaled(self) -> tuple:
-        """(L, b): L the lcm of the node denominators, b_i = a_i*L integers."""
-        L = lcm(*(a.denominator for a in self.values))
-        return L, tuple(a.numerator * (L // a.denominator) for a in self.values)
-
-    @cached_property
     def products(self) -> tuple:
         """The signed difference products A_i, as diff_products returns them:
-        from each node's own numerator and denominator, not from `scaled`."""
+        from each node's own numerator and denominator, not `polynomial`."""
         return tuple(diff_products(self))
 
     @cached_property
-    def scaled_elementary(self) -> tuple:
-        """(E_0, ..., E_m), E_k = L^k e_k for (L, b) = scaled: the integer
-        coefficients of prod(z + b_i), built as E_k += b_i E_{k-1}."""
-        E = [1] + [0] * self.m
-        for i, bi in enumerate(self.scaled[1], start=1):
-            for k in range(i, 0, -1):
-                E[k] += bi * E[k - 1]
-        return tuple(E)
+    def polynomial(self) -> tuple:
+        """(L, b, W) of `exactpoly.node_polynomial`, as tuples.  W(z) =
+        prod(z - b_i) holds the elementary values, E_k = L^k e_k =
+        (-1)^k W_(m-k), and W'(b_i) = L^(m-1) A_i."""
+        L, b, W = node_polynomial(self.values)
+        return L, tuple(b), tuple(W)
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ def nodeset_new(values: Sequence) -> NodeSet:
 def diff_products(ns: NodeSet) -> list[Fraction]:
     """Signed products A_i = prod_{j != i}(a_i - a_j); [1] for a singleton.
 
-    From the nodes' own a_i = p_i/q_i, never from ns.scaled: each factor is
+    From the nodes' own a_i = p_i/q_i, never from ns.polynomial: each factor is
     the cross-difference (p_i q_j - p_j q_i) / (q_i q_j), so A_i is the
     integer U_i = prod_{j != i}(p_i q_j - p_j q_i) over
     q_i^(m-1) * (Q // q_i), with Q = prod q_j.
@@ -136,10 +131,10 @@ def diff_products(ns: NodeSet) -> list[Fraction]:
 def diff_products_via_derivative(ns: NodeSet) -> list[Fraction]:
     """Same products obtained as w'(a_i) for w = prod(z - a_j).
 
-    On the integer node polynomial W(z) = L^m w(z/L) of `exactpoly`, built
-    from the values alone, W'(b_i) = L^(m-1) w'(a_i).
+    On the integer node polynomial W(z) = L^m w(z/L) of ns.polynomial,
+    W'(b_i) = L^(m-1) w'(a_i).
     """
-    L, b, W = node_polynomial(ns.values)
+    L, b, W = ns.polynomial
     w1 = derivative(W)
     scale = L ** (ns.m - 1)
     return [Fraction(evaluate(w1, bi), scale) for bi in b]

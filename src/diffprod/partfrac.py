@@ -8,12 +8,12 @@ to h_{n-m} (constant).  `_scaled_decompositions` gives both on integers,
 for every n up to nmax from one h list; `decompositions` and `decompose`
 put them over Fractions, one per value.
 
-`reconstruct` proves the identity by interpolation on integers of its own,
-reading nothing the decomposition was built from: with L the lcm of the
-pole denominators and b_i = a_i*L, it builds W(z) = prod(z - b_i) and
-W'(b_i) once per call (`exactpoly`).  Its part must be the quotient of
-x^n by w: z^N is divided by the monic W once, for the largest power N,
-by long division, and every other part must be that quotient's tail.
+`reconstruct` proves the identity by interpolation on integers, reading
+nothing the decomposition was built from: with b_i = a_i*L, L the lcm of
+the pole denominators, it reads W(z) = prod(z - b_i) off
+`NodeSet.polynomial` and computes W'(b_i) once per call.  The part of the
+largest power N must be the quotient of z^N by the monic W, which is the
+e-recurrence of `symmetric`, and every other part must be its tail.
 Each residue r_j at a_j = t_j/u_j must satisfy
 r_j u_j^n W'(b_j) = t_j^n L^(m-1), with t_j^n and u_j^n stepped by
 `reconstruct` itself, never by the decomposition's `_powers`.  `verify`
@@ -28,9 +28,9 @@ from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, mul
 
-from .exactpoly import derivative, evaluate, node_polynomial
+from .exactpoly import derivative, evaluate
 from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
-from .symmetric import _equal, _h_brute_force, _unscale
+from .symmetric import _equal, _h_brute_force, _h_elementary, _unscale
 
 
 class NodeSetTooSmall(ValueError):
@@ -153,11 +153,12 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
     leading coefficient first: X[k] / (f Q^k) is the coefficient of
     x^(len(X)-1-k).  `residues` holds (n, numerators, denominators) for
     each power n, ascending, the largest being N.  Both checks run on the
-    integers of the call's own (L, b, W), with W(z) = L^m w(z/L):
-    - (ii) divides z^N by the monic W: H_0 = 1 and
-      H_k = -sum_(l=1..m) W_(m-l) H_(k-l) give the quotient
-      sum_k H_k z^(N-m-k), so the quotient of x^N by w is the scaled
-      list (L, [H_0, ..., H_(N-m)], 1), compared with `part`;
+    integers of the poles' (L, b, W) = poles.polynomial, with
+    W(z) = L^m w(z/L), once W is the monic degree-m polynomial vanishing
+    at every b_j:
+    - (ii) the quotient of z^N by W is sum_k H_k z^(N-m-k), H the
+      e-recurrence `_h_elementary` to N - m, so the quotient of x^N by w
+      is its scaled list (L, [H_0, ..., H_(N-m)], 1), compared with `part`;
     - (i) is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1) for the residue
       r_j / q_j at a_j = t_j / u_j, with W'(b_j) = L^(m-1) w'(a_j)
       computed once per call, and t_j^n and u_j^n stepped here, never
@@ -165,16 +166,11 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
       (0, 0) would make both sides 0.
     """
     m = poles.m
-    L, b, W = node_polynomial(poles.values)
+    L, b, W = poles.polynomial
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
-    # (ii) the quotient of z^N by W, leading coefficient first
     N = residues[-1][0]
-    lower = W[m - 1::-1]  # W_(m-1), ..., W_0
-    H = [1] if N >= m else []
-    for _ in range(N - m):
-        H.append(-sum(map(mul, lower, reversed(H[-m:]))))
-    if not _equal(part, (L, H, 1)):
+    if not _equal(part, _h_elementary(poles, N - m) if N >= m else (L, [], 1)):
         return False
     # (i) at every pole, for each n
     dW = derivative(W)

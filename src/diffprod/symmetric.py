@@ -12,19 +12,20 @@ X[k] / (first * L^k), and the public function is that kernel plus
 lists exactly without building any, and `_matches` entry by entry.  Each
 route reads its own scale:
 - the e-list, the e-recurrence for h and Newton's identities read the
-  integers E_j = L^j e_j cached as ns.scaled_elementary, built from
-  ns.scaled = (L, b); the recurrences give H_k = L^k h_k and P_k = L^k p_k;
+  node polynomial cached as ns.polynomial = (L, b, W): its coefficients
+  are the integers E_j = L^j e_j = (-1)^j W_(m-j), and the recurrences
+  give H_k = L^k h_k and P_k = L^k p_k;
 - power_sums and the power-sum recurrence read only ns.values: the one
   power kernel, `_power_ladder` (also behind nodes.euler_sums), scales them
-  by their own lcm, never reading ns.scaled or ns.scaled_elementary;
+  by their own lcm, never reading ns.polynomial;
 - the brute-force oracle scales the nodes itself as well: with L the lcm
   of their denominators, it takes the integers a_i*L one at a time.  Every
   multiset of X + {x} splits by how many times it takes x, so
   h_k(X + {x}) = sum_j x^j h_(k-j)(X), which by Horner's rule in x is
   H_k += x H_(k-1) for k ascending; one call gives H_0..H_kmax in m*kmax
   products.  The closed forms and the partial fractions' parts take h from
-  it; the e-recurrence only checks it.
-So a wrong ns.scaled makes the two h recurrences disagree, and Newton's
+  it; the e-recurrence only checks it, here and in `partfrac.reconstruct`.
+So a wrong ns.polynomial makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.  That needs the comparison to
 read each list's scale: under a wrong L the e-route's integers are still
 the true ones, only their scale is wrong.
@@ -48,18 +49,24 @@ def _check_depth(kmax: int) -> None:
 
 
 def elementary_all(ns: "NodeSet", kmax: int) -> list[Fraction]:
-    """e[0..kmax]: e_k = E_k / L^k off ns.scaled_elementary, and e_k = 0
-    for k > m."""
+    """e[0..kmax]: e_k = E_k / L^k off ns.polynomial, and e_k = 0 for k > m."""
     _check_depth(kmax)
-    E = ns.scaled_elementary[: kmax + 1]
-    return _unscale(ns.scaled[0], E, 1) + [Fraction(0)] * (kmax + 1 - len(E))
+    return _unscale(*_elementary(ns, kmax))
+
+
+def _elementary(ns: "NodeSet", kmax: int) -> tuple:
+    """The scaled list (L, [E_0, ..., E_kmax], 1) of e[0..kmax]: with
+    (L, b, W) = ns.polynomial, E_k = (-1)^k W_(m-k) for k <= m, else 0."""
+    L, _, W = ns.polynomial
+    E = [-c if k % 2 else c for k, c in enumerate(W[::-1][: kmax + 1])]
+    return L, E + [0] * (kmax + 1 - len(E)), 1
 
 
 def _scaled_elementary(ns: "NodeSet", kmax: int) -> tuple:
-    """(L, [E_1, -E_2, E_3, ...]) for j up to min(kmax, m), off the cached
-    E_j with L from ns.scaled: the signs both recurrences on e apply."""
-    E = ns.scaled_elementary[1 : kmax + 1]
-    return ns.scaled[0], [Ej if j % 2 else -Ej for j, Ej in enumerate(E, start=1)]
+    """(L, [E_1, -E_2, E_3, ...]) for j up to min(kmax, m): the signs both
+    recurrences on e apply, (-1)^(j-1) E_j = -W_(m-j) off ns.polynomial."""
+    L, _, W = ns.polynomial
+    return L, [-c for c in W[-2::-1][:kmax]]
 
 
 def _power_ladder(terms: Sequence[int], values: Sequence, kmax: int) -> tuple:
@@ -126,7 +133,8 @@ def power_sums(ns: "NodeSet", kmax: int) -> list[Fraction]:
 
 def _h_elementary(ns: "NodeSet", kmax: int) -> tuple:
     """(L, [H_0, ..., H_kmax], 1) by the e-recurrence H_k =
-    sum_j (-1)^(j-1) E_j H_{k-j}, L from ns.scaled."""
+    sum_j (-1)^(j-1) E_j H_{k-j} = -sum_j W_(m-j) H_(k-j), L and W from
+    ns.polynomial: the quotient of z^(m+kmax) by W, leading term first."""
     L, signed = _scaled_elementary(ns, kmax)
     H = [1]
     for _ in range(kmax):
@@ -205,10 +213,9 @@ def homogeneous_brute_force(ns: "NodeSet", kmax: int) -> list[Fraction]:
     It is both the oracle of the recurrences and the source of the closed
     forms (`nodes.expected_euler_sums`) and of the decompositions'
     polynomial parts.  That stays independent because it reads only the
-    node values, never the cached integer forms, the e-list or the power
-    kernel: the closed forms are checked against sums stepped by
-    `_power_ladder`, the parts against `reconstruct`'s own node
-    polynomial, and these values against the e-recurrence.
+    node values, never ns.polynomial, the e-list or the power kernel: the
+    closed forms are checked against sums stepped by `_power_ladder`, and
+    the parts and these values against the e-recurrence on ns.polynomial.
     """
     _check_depth(kmax)
     return _unscale(*_h_brute_force(ns, kmax))

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from diffprod import cli, nodes, nodeset_new, partfrac, symmetric
+from diffprod import cli, exactpoly, nodes, nodeset_new, partfrac, symmetric
 from diffprod.cli import LimitExceeded, ParseError, fmt, fmt_poly, parse_nodes
+from diffprod.exactpoly import derivative
 
 from .test_golden import CASES, load, run_cli
 
@@ -292,16 +293,37 @@ class TestVerbs:
         assert len(seen) == (2 if verb == "verify" else 1)
 
     def test_closed_forms_never_read_the_e_list(self, monkeypatch):
-        # The e-recurrence is a check route only: the closed forms and the
-        # decompositions' parts take h from the oracle's kernel.
+        # The node polynomial, and the e-list in it, feeds checks only: the
+        # closed forms and the decompositions' parts take h from the
+        # oracle's kernel.  reconstruct, a check, reads it.
         values = "1/2 -3 7/3 4 -5/6"
 
         def unread(*args):
-            raise AssertionError("a closed form read the e-list")
+            raise AssertionError("a closed form read the node polynomial")
 
-        monkeypatch.setattr(nodes.NodeSet, "scaled_elementary", property(unread))
+        monkeypatch.setattr(nodes.NodeSet, "polynomial", property(unread))
         assert cli.run(["table", values, "--nmax", "12"]) == 0
-        assert partfrac.reconstruct(*partfrac.decompositions(nodeset_new(values.split()), 12))
+        pfds = partfrac.decompositions(nodeset_new(values.split()), 12)
+        monkeypatch.undo()
+        assert partfrac.reconstruct(*pfds)
+
+    @pytest.mark.parametrize("verb, builds", [
+        ("verify", 1), ("symmetric", 1), ("decompose", 1), ("table", 0), ("weights", 0)])
+    def test_node_polynomial_built_once_per_set(self, verb, builds, monkeypatch):
+        # Every check that reads W reads the one NodeSet.polynomial; the
+        # makers never read it.  verify's decomposition route builds a set
+        # of its own, whose polynomial nothing reads.
+        values, built = "1/2 -3 7/3 4", []
+        true_node_polynomial = nodes.node_polynomial
+
+        def counting(values):
+            built.append(values)
+            return true_node_polynomial(values)
+
+        for module in (exactpoly, nodes, partfrac):
+            monkeypatch.setattr(module, "node_polynomial", counting, raising=False)
+        assert cli.run([verb, values, EXPONENT_OPTION[verb], "9"]) == 0
+        assert built == [nodeset_new(values.split()).values] * builds
 
     @staticmethod
     def forbid_unscaling(monkeypatch):
@@ -333,12 +355,13 @@ class TestVerbs:
 
     @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
     def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
-        # The e-recurrence ladder is a check route only: verify builds it
-        # once, to min(nmax, 8).  The closed forms (to k = nmax - m + 1), the
-        # decompositions' parts (to nmax - m) and the oracle check (to
+        # The e-recurrence ladder is a check route only: verify runs it to
+        # min(nmax, 8) for the h checks and to nmax - m for the quotient in
+        # check (ii) of reconstruct.  The closed forms (to k = nmax - m + 1),
+        # the decompositions' parts (to nmax - m) and the oracle check (to
         # min(nmax, 8)) each run the Horner kernel no deeper than they need.
         e_ladders, horner_depths = [], []
-        h_elementary, complete_sums = cli._h_elementary, symmetric._complete_sums
+        h_elementary, complete_sums = symmetric._h_elementary, symmetric._complete_sums
 
         def counting_e(ns, kmax):
             e_ladders.append((ns.m, kmax))
@@ -348,11 +371,12 @@ class TestVerbs:
             horner_depths.append(kmax)
             return complete_sums(xs, kmax)
 
-        monkeypatch.setattr(cli, "_h_elementary", counting_e)
+        for module in (symmetric, partfrac, cli):
+            monkeypatch.setattr(module, "_h_elementary", counting_e)
         monkeypatch.setattr(symmetric, "_complete_sums", counting_horner)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
         assert code == 0 and res["all_identities_hold"]
-        assert e_ladders == [(4, min(nmax, 8))]
+        assert sorted(e_ladders) == sorted([(4, min(nmax, 8)), (4, nmax - 4)])
         assert sorted(horner_depths) == sorted([nmax - 3, nmax - 4, min(nmax, 8)])
         assert max(horner_depths) == deepest
 
@@ -654,37 +678,57 @@ class TestRenderJson:
 
 
 class TestVerifierIndependence:
-    """A wrong cached integer form must make verify fail: ns.scaled feeds
-    only the e-list, which the e-route and Newton read and the power-sum
-    route and the brute-force oracle never do.  The products come from the
-    nodes' own numerators and denominators and are checked against the
-    derivative route, which builds its own node polynomial.  Likewise for
-    the per-set objects of the partial-fraction routes."""
+    """A wrong cached node polynomial must make verify fail: ns.polynomial
+    feeds only checks (the derivative route, the e-route, Newton and
+    reconstruct), which compare it with values built without it: the
+    products from the nodes' own numerators and denominators, the power
+    sums, the power-sum route and the brute-force oracle from the values.
+    Likewise for the per-set objects of the partial-fraction routes."""
 
-    @staticmethod
-    def wrong_scale(L, b):
-        return 2 * L, b
+    DERIVATIVE = "difference products match derivative route"
+    RECONSTRUCT = "decompositions reconstruct exactly"
+    # every check that reads W
+    W_CHECKS = {DERIVATIVE, RECONSTRUCT, "homogeneous recurrences agree",
+                "homogeneous recurrences match brute force", "newton round trip"}
 
-    @staticmethod
-    def wrong_node(L, b):
-        return L, b[:-1] + (b[-1] + 1,)  # still the largest, still distinct
+    @pytest.mark.parametrize("corrupt, failed", [
+        pytest.param(lambda L, b, W: (2 * L, b, W), W_CHECKS, id="wrong_scale"),
+        pytest.param(lambda L, b, W: (L, b, tuple(2 * c for c in W)), W_CHECKS,
+                     id="doubled_polynomial"),
+        pytest.param(lambda L, b, W: (L, b, (W[0], W[1] + 1, *W[2:])), W_CHECKS,
+                     id="linear_term"),
+        # W_0 does not enter W'
+        pytest.param(lambda L, b, W: (L, b, (W[0] + 1, *W[1:])), W_CHECKS - {DERIVATIVE},
+                     id="constant_term"),
+        # the e-list is W itself, so only the routes that evaluate at b fail
+        pytest.param(lambda L, b, W: (L, (b[0] + 1, *b[1:]), W), {DERIVATIVE, RECONSTRUCT},
+                     id="first_node"),
+        pytest.param(lambda L, b, W: (L, (*b[:-1], b[-1] + 1), W), {DERIVATIVE, RECONSTRUCT},
+                     id="wrong_node"),
+    ])
+    def test_wrong_scaled_form_fails_verify(self, corrupt, failed, capsys, monkeypatch):
+        # table reads no W, so it prints as before; decompose fails its
+        # reconstruction check only.  At n = 6 the quotient of z^6 by W
+        # reads W_3 and W_2 alone, so under a wrong W_0 only reconstruct's
+        # guard (W monic, of degree m, vanishing at every b_j) fails it.
+        table = ["table", "1/2 -3 7/3 4", "--nmax", "9"]
+        decompose = ["decompose", "1/2 -3 7/3 4", "--n", "6"]
+        assert cli.run(table) == 0
+        good_table = capsys.readouterr().out
+        assert cli.run(decompose) == 0
+        good = capsys.readouterr().out.splitlines()
+        assert good[-1] == "reconstruction check: ok"
 
-    @pytest.mark.parametrize("corrupt", [wrong_scale, wrong_node])
-    def test_wrong_scaled_form_fails_verify(self, corrupt, capsys, monkeypatch):
-        # The products do not read ns.scaled, so their check passes; verify
-        # fails through the three checks that read the e-list: the e-route
-        # and Newton read it, the power sums, the power-sum route and the
-        # brute-force oracle read only the node values.
-        true_scaled = nodes.NodeSet.scaled.func
-        monkeypatch.setattr(nodes.NodeSet, "scaled",
-                            property(lambda ns: corrupt(*true_scaled(ns))))
+        true_polynomial = nodes.NodeSet.polynomial.func
+        monkeypatch.setattr(nodes.NodeSet, "polynomial",
+                            property(lambda ns: corrupt(*true_polynomial(ns))))
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
-        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
-            "homogeneous recurrences agree",
-            "homogeneous recurrences match brute force",
-            "newton round trip",
-        }
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == failed
+        assert cli.run(table) == 0
+        assert capsys.readouterr().out == good_table
+        assert cli.run(decompose) == 1
+        assert capsys.readouterr().out.splitlines() == [*good[:-1], "reconstruction check: FAILED"]
 
     @staticmethod
     def wrong_cross_difference(monkeypatch):
@@ -733,47 +777,36 @@ class TestVerifierIndependence:
         assert set(checks) <= {c["name"] for c in res["checks"] if not c["ok"]}
 
     @staticmethod
-    def corrupt_node_polynomial(monkeypatch, module, corrupt):
-        """Make `module`'s own binding of node_polynomial return corrupt(W)."""
-        true_node_polynomial = module.node_polynomial
+    def corrupt_node_polynomial(monkeypatch, corrupt):
+        """Make node_polynomial, the one builder of NodeSet.polynomial,
+        return corrupt(W)."""
+        true_node_polynomial = nodes.node_polynomial
 
         def wrong(values):
             L, b, W = true_node_polynomial(values)
             return L, b, corrupt(W)
 
-        monkeypatch.setattr(module, "node_polynomial", wrong)
+        monkeypatch.setattr(nodes, "node_polynomial", wrong)
 
     @pytest.mark.parametrize("corrupt", [
         lambda W: [W[0] + 1, *W[1:]],  # no longer divisible by each z - b_i
         lambda W: [2 * c for c in W],  # still divisible, but not monic
     ])
     def test_wrong_node_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
-        self.corrupt_node_polynomial(monkeypatch, partfrac, corrupt)
-        self.verify_fails(capsys, "decompositions reconstruct exactly")
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda W: [W[0], W[1] + 1, *W[2:]],  # w' gains a constant term
-        lambda W: [2 * c for c in W],  # w' doubles
-    ])
-    def test_wrong_derivative_route_polynomial_fails_verify(self, corrupt, capsys, monkeypatch):
-        # The derivative route builds its own node polynomial, and no other
-        # route reads it, so only that route's check fails.
-        self.corrupt_node_polynomial(monkeypatch, nodes, corrupt)
+        # Every check that reads W fails; the derivative route only if the
+        # corruption reaches W'.
+        W = list(nodeset_new(["1/2", "-3", "7/3", "4"]).polynomial[2])
+        failed = set(self.W_CHECKS)
+        if derivative(corrupt(W)) == derivative(W):
+            failed.remove(self.DERIVATIVE)
+        self.corrupt_node_polynomial(monkeypatch, corrupt)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
-        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
-            "difference products match derivative route"}
-
-    def test_constant_term_does_not_reach_derivative_route(self, capsys, monkeypatch):
-        # W[0] does not enter w', so changing it must not fail verify.
-        self.corrupt_node_polynomial(monkeypatch, nodes, lambda W: [W[0] + 1, *W[1:]])
-        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
-        assert code == 0
-        assert all(c["ok"] for c in res["checks"])
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == failed
 
     def test_wrong_derivative_at_pole_fails_verify(self, capsys, monkeypatch):
-        # reconstruct's own W'(b_j): its node polynomial has degree m = 4, so
-        # its derivative is the first polynomial of 4 coefficients evaluated.
+        # reconstruct's W'(b_j): the node polynomial has degree m = 4, so its
+        # derivative is the first polynomial of 4 coefficients evaluated.
         true_evaluate = partfrac.evaluate
         slopes = []
 
@@ -796,7 +829,7 @@ class TestVerifierIndependence:
         argv = ["decompose", "1/2 -3 7/3 4", "--n", "6"]
         assert cli.run(argv) == 0
         good = capsys.readouterr().out.splitlines()
-        self.corrupt_node_polynomial(monkeypatch, partfrac, lambda W: [W[0] + 1, *W[1:]])
+        self.corrupt_node_polynomial(monkeypatch, lambda W: [W[0] + 1, *W[1:]])
         assert cli.run(argv) == 1
         bad = capsys.readouterr().out.splitlines()
         assert good[-1] == "reconstruction check: ok"
@@ -982,9 +1015,10 @@ class TestVerifierIndependence:
             "decompositions reconstruct exactly",
             "homogeneous recurrences match brute force"}
 
-    def test_wrong_e_route_fails_only_the_h_checks(self, capsys, monkeypatch):
+    def test_wrong_e_route_fails_the_h_checks_and_reconstruct(self, capsys, monkeypatch):
         # Wherever it is bound, a wrong e-recurrence reaches no closed form
-        # and no decomposition: it is compared, never used.
+        # and no decomposition: it is compared, never used.  reconstruct
+        # compares the parts with it, as the quotient of z^N by W.
         true_route = symmetric._h_elementary
 
         def wrong(ns, kmax):
@@ -996,6 +1030,7 @@ class TestVerifierIndependence:
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decompositions reconstruct exactly",
             "homogeneous recurrences agree",
             "homogeneous recurrences match brute force"}
 
@@ -1011,16 +1046,15 @@ class TestVerifierIndependence:
         assert "h (brute force):           1 6 25 91\n" in out
 
     def test_brute_force_reads_only_node_values(self, monkeypatch):
-        # The oracle never reads the recurrences' inputs: the cached integer
-        # forms and the power kernel.
+        # The oracle never reads the recurrences' inputs: the node polynomial
+        # and the power kernel.
         values = ["1/2", "-3", "7/3", "4", "-5/6"]
         expected = symmetric.homogeneous_via_elementary(nodeset_new(values), 9)
 
         def unread(*args):
             raise AssertionError("the oracle read a recurrence's input")
 
-        monkeypatch.setattr(nodes.NodeSet, "scaled", property(unread))
-        monkeypatch.setattr(nodes.NodeSet, "scaled_elementary", property(unread))
+        monkeypatch.setattr(nodes.NodeSet, "polynomial", property(unread))
         monkeypatch.setattr(symmetric, "_power_ladder", unread)
         monkeypatch.setattr(nodes, "_power_ladder", unread)
         assert symmetric.homogeneous_brute_force(nodeset_new(values), 9) == expected

@@ -18,6 +18,7 @@ from diffprod import (
     homogeneous_brute_force,
     nodeset_new,
 )
+from diffprod.exactpoly import evaluate
 from diffprod.nodes import _lcm, common_denominator_form
 from .strategies import EDGE_SETS, node_sets, rationals
 
@@ -62,7 +63,7 @@ class TestNodeSetNew:
         filled, fresh = nodeset_new([2, 5, 7, 8]), nodeset_new([8, 7, 5, 2])
         before = hash(filled)
         assert filled.products == (-90, 18, -10, 18)
-        assert filled.scaled_elementary == (1, 22, 171, 542, 560)
+        assert filled.polynomial == (1, (2, 5, 7, 8), (560, -542, 171, -22, 1))
         assert filled == fresh and hash(filled) == hash(fresh) == before
         assert {fresh: "x"}[filled] == "x"
         assert repr(filled) == repr(fresh)
@@ -71,18 +72,23 @@ class TestNodeSetNew:
 
 
 class TestScaled:
+    """ns.polynomial = (L, b, W): the nodes b_i = a_i*L on integers and
+    W(z) = prod(z - b_i)."""
+
     def test_mixed_denominators(self):
         ns = nodeset_new([F(1, 2), F(-2, 3), F(5, 6), 4])
-        assert ns.scaled == (6, (-4, 3, 5, 24))
+        assert ns.polynomial[:2] == (6, (-4, 3, 5, 24))
 
     def test_integers_are_their_own_scale(self):
-        assert FOUR.scaled == (1, (2, 5, 7, 8))
+        assert FOUR.polynomial == (1, (2, 5, 7, 8), (560, -542, 171, -22, 1))
 
     @given(node_sets)
     def test_scaled_nodes_are_the_nodes(self, ns):
-        L, b = ns.scaled
-        assert all(type(bi) is int for bi in b)
+        L, b, W = ns.polynomial
+        assert all(type(x) is int for x in (*b, *W))
         assert [F(bi, L) for bi in b] == list(ns.values)
+        assert len(W) == ns.m + 1 and W[-1] == 1
+        assert not any(evaluate(W, bi) for bi in b)
 
 
 # Direct Fraction products: the reference the integer kernel must reproduce.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diffprod import (
     NegativeExponent,
+    NodeSet,
     NodeSetTooSmall,
     PartialFractionDecomposition,
     decompose,
@@ -197,10 +198,11 @@ class TestReconstruct:
 
     @staticmethod
     def corrupt_node_polynomial(monkeypatch, corrupt):
-        """Make reconstruct's node_polynomial return corrupt(L, b, W)."""
-        true_node_polynomial = partfrac.node_polynomial
-        monkeypatch.setattr(partfrac, "node_polynomial",
-                            lambda values: corrupt(*true_node_polynomial(values)))
+        """Make the poles' NodeSet.polynomial, which reconstruct reads,
+        corrupt(L, b, W)."""
+        true_polynomial = NodeSet.polynomial.func
+        monkeypatch.setattr(NodeSet, "polynomial",
+                            property(lambda ns: corrupt(*true_polynomial(ns))))
 
     def test_pole_not_a_root_is_false(self, monkeypatch):
         # b_0 = 3 becomes 4, which is not a root of W
