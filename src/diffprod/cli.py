@@ -14,7 +14,6 @@ import re
 import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
-from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from operator import mul
 from types import SimpleNamespace
@@ -395,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built from `_VERBS` on the first call that
     needs it and shared by every later one; a plain argv needs none (see
     `_read_plain`).  Callers must not mutate it.  Help width is read when
-    help is printed, not here.  Its `verbs` maps each verb to its own
-    sub-parser, whose namespace carries the verb's runner, printer and
-    `holds`."""
+    help is printed, not here.  It reads every argv that `_read_plain`
+    refuses, into the fields `verb`, `nodes`, `format` and `exponent`."""
     import argparse  # here, so that a launch with a plain argv never imports it
 
     parser = argparse.ArgumentParser(
@@ -412,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument(verb.option, type=int, dest="exponent", metavar=verb.option[2:].upper(),
                         help=verb.option_help, default=verb.default, required=verb.required)
-        sp.set_defaults(runner=verb.runner, printer=verb.printer, holds=verb.holds)
-    parser.verbs = sub.choices
     return parser
 
 
@@ -433,36 +429,38 @@ def render_json(result: dict) -> str:
     list and dict values a verb returns; TypeError on any other value.
     Joined from strings here, since `indent` sends json.dumps to its
     pure-Python encoder."""
-    return _json(result, "\n")
+    # here, so that a launch with text output never imports json
+    from json.encoder import encode_basestring_ascii as quote
 
+    def encode(value, newline: str) -> str:
+        """`value` as JSON whose nested lines start with `newline` + 2 spaces."""
+        if isinstance(value, str):
+            return quote(value)
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            inner = newline + "  "
+            return f"[{inner}{(',' + inner).join([encode(v, inner) for v in value])}{newline}]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = newline + "  "
+            items = [f"{quote(k)}: {encode(v, inner)}" for k, v in value.items()]
+            return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-def _json(value, newline: str) -> str:
-    """`value` as JSON whose nested lines start with `newline` + 2 spaces."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return f"[{inner}{(',' + inner).join([_json(v, inner) for v in value])}{newline}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return encode(result, "\n")
 
 
 def _read_plain(argv) -> SimpleNamespace | None:
-    """The namespace the verb's own parser gives for a plain argv, read
-    straight off `_VERBS`; None for any other argv.  A plain argv is
+    """The namespace `build_parser()` gives for a plain argv, read straight
+    off `_VERBS`; None for any other argv.  A plain argv is
     VERB [nodes] [--format text|json] [OPTION ASCII-DIGITS], in any order
     and each at most once, with a node list that argparse reads as a
     positional too: one that does not start with "-", or "-<digit>..."
@@ -491,28 +489,8 @@ def _read_plain(argv) -> SimpleNamespace | None:
             return None
     if nodes is None or (exponent is None and verb.required):
         return None
-    return SimpleNamespace(
-        nodes=nodes, format=fmt or "text",
-        exponent=verb.default if exponent is None else exponent,
-        runner=verb.runner, printer=verb.printer, holds=verb.holds)
-
-
-def _parse_args(argv):
-    """The parsed argv.  A plain argv is read by `_read_plain`.  Any other
-    argv that starts with a verb goes to that verb's parser, the call the
-    top-level parser makes for it; any other argv, or one with arguments
-    left over, goes to the top-level parser, so that its usage and error
-    text stay the same."""
-    args = _read_plain(argv)
-    if args is not None:
-        return args
-    parser = build_parser()
-    verb_parser = parser.verbs.get(argv[0]) if argv else None
-    if verb_parser is not None:
-        args, rest = verb_parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    return SimpleNamespace(verb=argv[0], nodes=nodes, format=fmt or "text",
+                           exponent=verb.default if exponent is None else exponent)
 
 
 # CPython limits int <-> str conversion to 4300 digits.  `run` lifts the
@@ -524,7 +502,11 @@ _set_str_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def run(argv) -> int:
-    args = _parse_args(argv)
+    """Run one CLI command in-process and return its exit code.  A plain
+    argv is read by `_read_plain`; every other one by `build_parser()`, so
+    that help, usage and error texts are argparse's own."""
+    args = _read_plain(argv) or build_parser().parse_args(argv)
+    verb = _VERBS[args.verb]
     try:
         ns = parse_nodes(args.nodes)
         exponent = _exponent(args.exponent, ns)
@@ -536,13 +518,13 @@ def run(argv) -> int:
     old_limit = _get_str_digits()
     _set_str_digits(0)
     try:
-        result = args.runner(ns, exponent)
-        code = 0 if args.holds(result) else 1
+        result = verb.runner(ns, exponent)
+        code = 0 if verb.holds(result) else 1
         try:
             if args.format == "json":
                 print(render_json(result))
             else:
-                args.printer(result)
+                verb.printer(result)
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader closed the pipe early.  Point stdout at devnull so

@@ -486,11 +486,13 @@ class TestLargeOutput:
 
 
 class TestSharedParser:
-    """One parser per process serves every `run` call, with the same
-    output as a freshly built one."""
+    """One top-level parser per process reads every argv that `_read_plain`
+    refuses, with the same output as a freshly built one; a plain argv
+    builds none."""
 
-    # All five verbs, both formats, explicit and default exponents, and a
-    # decompose without its required --n, which exits 2.
+    # All five verbs, both formats, explicit and default exponents: plain
+    # argvs, read without a parser, and a decompose without its required
+    # --n, which goes to the parser and exits 2.
     MIXED = [
         ["weights", "2 5 7 8"],
         ["weights", "1/2 -3 7/3", "--n", "1", "--format", "json"],
@@ -533,19 +535,6 @@ class TestSharedParser:
         cli.build_parser.cache_clear()
         assert cli.run(["weights", "1 2 3"]) == 0
         assert cli.build_parser.cache_info().currsize == 0
-
-    def test_a_verb_is_parsed_by_its_own_parser(self, monkeypatch):
-        # An argv that starts with a verb and leaves nothing over never
-        # reaches the top-level parser, nor does a usage error the verb's
-        # parser reports; the golden error cases pin the rest.
-        parser = cli.build_parser()
-
-        def unread(*args):
-            raise AssertionError("the top-level parser ran")
-
-        monkeypatch.setattr(parser, "parse_args", unread)
-        monkeypatch.setattr(parser, "parse_known_args", unread)
-        assert [run_cli(argv)["exit"] for argv in self.MIXED] == [0] * 5 + [2] + [0] * 4
 
     def test_same_output_on_every_run(self):
         first = [run_cli(argv) for argv in self.MIXED]
@@ -613,7 +602,8 @@ json_values = st.recursive(
 
 class TestPlainArgv:
     """A plain argv is read off the verb table, without argparse, into the
-    namespace the verb's own parser gives; any other argv goes to argparse."""
+    namespace the top-level parser gives; any other argv goes to that
+    parser."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(
@@ -624,9 +614,31 @@ class TestPlainArgv:
     def test_accepted_argv_parses_the_same_by_argparse(self, argv):
         plain = cli._read_plain(argv)
         if plain is not None:
-            args, rest = cli.build_parser().verbs[argv[0]].parse_known_args(argv[1:])
-            assert rest == []
-            assert vars(args) == vars(plain)
+            assert vars(cli.build_parser().parse_args(argv)) == vars(plain)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_argv_runs_the_same_by_argparse(self, name):
+        with mock.patch.object(cli, "_read_plain", return_value=None):
+            assert run_cli(CASES[name]) == load(name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(plain_like_argvs(), st.lists(st.sampled_from(ALL_WORDS), max_size=7)))
+    def test_any_argv_runs_the_same_by_argparse(self, argv):
+        # the exit code, stdout and stderr, whichever reader takes the argv
+        first = run_cli(argv)
+        with mock.patch.object(cli, "_read_plain", return_value=None):
+            assert run_cli(argv) == first
+
+    def test_plain_text_launch_imports_neither_argparse_nor_json(self):
+        script = ("import sys\n"
+                  "from diffprod import cli\n"
+                  "code = cli.run(['weights', '1 2 3'])\n"
+                  "print(sorted({'argparse', 'json'} & sys.modules.keys()), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, "[]\n")
 
     @pytest.mark.parametrize("argv", [
         ["weights", "1 2 3"],
