@@ -3,10 +3,8 @@
 from .nodes import (
     DuplicateNode,
     EmptyNodeSet,
-    FractionTable,
     NegativeExponent,
     NodeSet,
-    alternating_display,
     diff_products,
     diff_products_via_derivative,
     euler_sums,
@@ -33,10 +31,8 @@ from .symmetric import (
 __all__ = [
     "DuplicateNode",
     "EmptyNodeSet",
-    "FractionTable",
     "NegativeExponent",
     "NodeSet",
-    "alternating_display",
     "diff_products",
     "diff_products_via_derivative",
     "euler_sums",

@@ -26,7 +26,7 @@ from .nodes import (
     NodeSet,
     _closed_forms,
     _euler_sums,
-    alternating_display,
+    _lcm,
     diff_products_via_derivative,
     nodeset_new,
 )
@@ -146,34 +146,45 @@ def _nodes_header(ns: NodeSet) -> dict:
 
 
 def _run_weights(ns: NodeSet, n: int) -> dict:
-    table = alternating_display(ns, n)
+    # Term i is the display sign (+, -, +, ... from the smallest node) times
+    # a_i^n / |A_i|: with a_i = p_i/q_i and A_i = U_i/V_i, that is
+    # p_i^n V_i / (q_i^n |U_i|), reduced by one gcd.  The line puts the terms
+    # over the lcm of their denominators.  For even m the signs are the true
+    # ones negated, so the line sums to -S_n.
+    products = [fmt(A) for A in ns.products]
+    rows, terms = [], []
+    for i, (a, A, signed) in enumerate(zip(ns.values, ns.products, products)):
+        sign = -1 if i % 2 else 1
+        top, bottom = a.numerator**n, a.denominator**n
+        num, den = sign * top * A.denominator, bottom * abs(A.numerator)
+        g = gcd(num, den)
+        terms.append((num // g, den // g))
+        rows.append({
+            "node": fmt(a),
+            "signed_denominator": signed,
+            "magnitude": signed.lstrip("-"),
+            "sign": sign,
+            "numerator": str(top) if bottom == 1 else f"{top}/{bottom}",
+        })
+    den = _lcm([d for _, d in terms])
+    nums = [t * (den // d) for t, d in terms]
     # For n = 0 on integer magnitudes the line is reduced by g, the gcd of the
     # magnitudes: lcm(|A_i|/g) = lcm(|A_i|)/g, and the numerators lcm/|A_i| are
     # the same either way.  This gives the paper's 3150 line for the 6-node set
     # instead of 113400.
     scale = 1
-    if n == 0 and all(r.magnitude.denominator == 1 for r in table.rows):
-        scale = gcd(*(r.magnitude.numerator for r in table.rows))
-    nums, den = table.common_numerators, table.common_denominator // scale
+    if n == 0 and all(A.denominator == 1 for A in ns.products):
+        scale = gcd(*(A.numerator for A in ns.products))
     return {
         "verb": "weights",
         **_nodes_header(ns),
         "n": n,
-        "products": [fmt(A) for A in ns.products],
-        "rows": [
-            {
-                "node": fmt(r.node),
-                "signed_denominator": fmt(r.signed_denominator),
-                "magnitude": fmt(r.magnitude),
-                "sign": r.sign,
-                "numerator": fmt(r.numerator),
-            }
-            for r in table.rows
-        ],
+        "products": products,
+        "rows": rows,
         "scale": str(scale),
         "common_numerators": [str(v) for v in nums],
-        "common_denominator": str(den),
-        "sum": _fmt_ratio(sum(nums), den * scale),
+        "common_denominator": str(den // scale),
+        "sum": _fmt_ratio(sum(nums), den),
     }
 
 

@@ -1,4 +1,4 @@
-"""Node sets, difference products, and the alternating fraction sums.
+"""Node sets, difference products, and the sums of a_i^n / A_i.
 
 Every node carries a signed difference product A_i = prod_{j != i}(a_i - a_j).
 With the nodes sorted ascending the products alternate in sign, the largest
@@ -8,6 +8,10 @@ homogeneous value h_{n-m+1} from n = m-1 onward.
 
 A node set's polynomial prod(z - a_i) is multiplied out once, on integers
 (`NodeSet.polynomial`), and every check on the e side reads it.
+
+The paper's display of a sum, alternating signs over unsigned products put
+over one denominator, is the CLI's `weights` (`cli._run_weights`), computed
+there on integers; this module holds only the values.
 """
 
 from __future__ import annotations
@@ -73,24 +77,6 @@ class NodeSet:
         (-1)^k W_(m-k), and W'(b_i) = L^(m-1) A_i."""
         L, b, W = node_polynomial(self.values)
         return L, tuple(b), tuple(W)
-
-
-@dataclass(frozen=True)
-class FractionRow:
-    node: Fraction
-    signed_denominator: Fraction
-    magnitude: Fraction
-    sign: int
-    numerator: Fraction
-
-
-@dataclass(frozen=True)
-class FractionTable:
-    """Display form of the sum: alternating signs over unsigned denominators."""
-
-    rows: tuple
-    common_numerators: tuple
-    common_denominator: int
 
 
 def nodeset_new(values: Sequence) -> NodeSet:
@@ -193,42 +179,3 @@ def _closed_forms(ns: NodeSet, nmax: int) -> tuple:
     if nmax < ns.m - 1:
         return 1, [], 1
     return _h_brute_force(ns, nmax - ns.m + 1)
-
-
-def common_denominator_form(fractions: Sequence) -> tuple[list[int], int]:
-    """Put fractions over the lcm of their denominators.
-
-    Returns (numerators, denominator) with sum(numerators)/denominator equal
-    to the sum of the inputs.
-    """
-    den = _lcm([f.denominator for f in fractions])
-    nums = [f.numerator * (den // f.denominator) for f in fractions]
-    return nums, den
-
-
-def alternating_display(ns: NodeSet, n: int) -> FractionTable:
-    """Render the sum with unsigned denominators and signs +, -, +, -, ...
-
-    Ordered by node ascending, starting with + at the smallest node.  For
-    even m this is the global negation of the true-sign sum; either way the
-    total is unchanged when it is zero.  Each row also carries the true
-    signed product.
-    """
-    _check_exponent(n)
-    rows = []
-    displayed = []
-    for i, (a, A) in enumerate(zip(ns.values, ns.products)):
-        sign = 1 if i % 2 == 0 else -1
-        numerator = a**n
-        rows.append(
-            FractionRow(
-                node=a,
-                signed_denominator=A,
-                magnitude=abs(A),
-                sign=sign,
-                numerator=numerator,
-            )
-        )
-        displayed.append(sign * numerator / abs(A))
-    nums, den = common_denominator_form(displayed)
-    return FractionTable(tuple(rows), tuple(nums), den)

@@ -1,12 +1,14 @@
 """Partial fraction decomposition of x^n / prod(x - a_i) over distinct poles.
 
-Residues come straight from the difference products, stepped as integer
-numerators and denominators; the polynomial part of an improper fraction
-is built from the complete homogeneous values of the brute-force oracle
-rather than by long division, so its coefficients are h_0 (leading) down
-to h_{n-m} (constant).  `_scaled_decompositions` gives both on integers,
-for every n up to nmax from one h list; `decompositions` and `decompose`
-put them over Fractions, one per value.
+Residues come straight from the difference products; the polynomial part
+of an improper fraction is built from the complete homogeneous values of
+the brute-force oracle rather than by long division, so its coefficients
+are h_0 (leading) down to h_{n-m} (constant).  Both come for every n up to
+nmax from one h list.  `decompositions` and `decompose` step each residue
+from 1/A_i by a_i^gap as a Fraction product, so each reducing gcd is taken
+against a power of a_i's own numerator or denominator.
+`_scaled_decompositions` steps the same residues as unreduced integer
+pairs, for the CLI and `verify`, which only compare them.
 
 `reconstruct` proves the identity by interpolation on integers, reading
 nothing the decomposition was built from: with b_i = a_i*L, L the lcm of
@@ -48,10 +50,9 @@ class PartialFractionDecomposition:
 def decompositions(poles: NodeSet, nmax: int) -> list[PartialFractionDecomposition]:
     """decompose(n, poles) for n = 0..nmax, from one h list.
 
-    residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1, their
-    integer numerators and denominators multiplied by those of a_i from
-    one n to the next.  The polynomial part is empty for n < m and is the
-    reversed slice h_0..h_{n-m} otherwise.
+    residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1, each
+    multiplied by a_i from one n to the next.  The polynomial part is empty
+    for n < m and is the reversed slice h_0..h_{n-m} otherwise.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
@@ -70,17 +71,21 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
 
 
 def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition]:
-    """The decompositions of x^n for n in `powers` (ascending): the
-    integers of `_scaled_decompositions`, one Fraction per value."""
-    m = poles.m
-    h, residues = _scaled_decompositions(poles, powers)
-    h = _unscale(*h)
-    return [
+    """The decompositions of x^n for n in `powers` (ascending): the parts
+    sliced from one h list of the brute-force oracle, and each residue
+    stepped from 1/A_i by a_i^gap as a Fraction product, so that every gcd
+    is taken against a_i's own numerator and denominator."""
+    m, N = poles.m, powers[-1]
+    h = _unscale(*_h_brute_force(poles, N - m)) if N >= m else []
+    residues, last, out = [1 / A for A in poles.products], 0, []
+    for n in powers:
+        gap, last = n - last, n
+        if gap:
+            residues = list(map(mul, residues, _powers(poles.values, gap)))
         # ascending: constant term h_{n-m}, leading h_0 = 1
-        PartialFractionDecomposition(n, poles, h[n - m::-1] if n >= m else [],
-                                     list(map(Fraction, nums, dens)))
-        for n, nums, dens in residues
-    ]
+        out.append(PartialFractionDecomposition(n, poles, h[n - m::-1] if n >= m else [],
+                                                residues))
+    return out
 
 
 def _scaled_decompositions(poles: NodeSet, powers) -> tuple:

@@ -13,7 +13,6 @@ from fractions import Fraction as F
 import pytest
 
 from diffprod import (
-    alternating_display,
     decompose,
     diff_products,
     diff_products_via_derivative,
@@ -29,7 +28,6 @@ from diffprod import (
     reconstruct,
 )
 from diffprod import cli
-from diffprod.nodes import common_denominator_form
 from .strategies import random_node_sets
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -51,16 +49,19 @@ def test_criterion_1_first_example():
     _report(1, "example {2,5,7,8}")
 
 
-def test_criterion_2_second_example():
+def test_criterion_2_second_example(capsys):
     products = diff_products(SIX)
     assert [abs(A) for A in products] == [113400, 12600, 3240, 1512, 1260, 2700]
     for n in range(5):
         assert euler_sums(SIX, n)[n] == 0
     assert euler_sums(SIX, 5)[5] == 1
     assert euler_sums(SIX, 6)[6] == 73
-    table = alternating_display(SIX, 0)
-    scaled = [36 * r.sign / r.magnitude for r in table.rows]
-    assert common_denominator_form(scaled) == ([1, -9, 35, -75, 90, -42], 3150)
+    # the paper's line, (1 - 9 + 35 - 75 + 90 - 42)/3150 = 0, off the CLI
+    assert cli.run(["weights", "3 8 12 15 17 18", "--format", "json"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["common_numerators"] == ["1", "-9", "35", "-75", "90", "-42"]
+    assert res["common_denominator"] == "3150"
+    assert res["scale"] == "36"
     _report(2, "example {3,8,12,15,17,18}")
 
 

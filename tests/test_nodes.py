@@ -1,6 +1,9 @@
+import io
+import json
+from contextlib import redirect_stdout
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,6 @@ from diffprod import (
     DuplicateNode,
     EmptyNodeSet,
     NegativeExponent,
-    alternating_display,
     diff_products,
     diff_products_via_derivative,
     euler_sums,
@@ -18,8 +20,9 @@ from diffprod import (
     homogeneous_brute_force,
     nodeset_new,
 )
+from diffprod import cli
 from diffprod.exactpoly import evaluate
-from diffprod.nodes import _lcm, common_denominator_form
+from diffprod.nodes import _lcm
 from .strategies import EDGE_SETS, node_sets, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -263,16 +266,8 @@ class TestPairwiseLcm:
 
 
 class TestCommonDenominatorForm:
-    def test_paper_line(self):
-        fractions = [
-            F(1, 3150), F(-1, 350), F(1, 90), F(-1, 42), F(1, 35), F(-1, 75),
-        ]
-        assert common_denominator_form(fractions) == (
-            [1, -9, 35, -75, 90, -42], 3150,
-        )
-
-    def test_halves(self):
-        assert common_denominator_form([F(1, 2), F(1, 2)]) == ([1, 1], 2)
+    """The paper's line over 3150: its terms are the reciprocals 1/|A_i|
+    scaled by 36, the gcd of the magnitudes, with alternating signs."""
 
     def test_scaled_reciprocals(self):
         scaled = [
@@ -283,39 +278,74 @@ class TestCommonDenominatorForm:
             F(1, 3150), F(-1, 350), F(1, 90), F(-1, 42), F(1, 35), F(-1, 75),
         ]
 
-    @given(st.lists(rationals, min_size=1, max_size=10))
-    def test_sum_preserved(self, fracs):
-        nums, den = common_denominator_form(fracs)
-        assert den >= 1
-        assert F(sum(nums), den) == sum(fracs)
+
+def weights_json(ns, n):
+    """The JSON that `diffprod weights --n n --format json` prints for ns."""
+    out = io.StringIO()
+    argv = ["weights", "--n", str(n), "--format", "json", "--", " ".join(map(str, ns.values))]
+    with redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def reference_weights(ns, n):
+    """The weights display over Fractions: term i is (-1)^i a_i^n / |A_i|,
+    and the line puts the terms over the lcm of their denominators, divided
+    at n = 0 on integer magnitudes by the magnitudes' gcd."""
+    products = diff_products(ns)
+    terms = [(-1) ** i * a**n / abs(A) for i, (a, A) in enumerate(zip(ns.values, products))]
+    den = lcm(*(t.denominator for t in terms))
+    integral = n == 0 and all(A.denominator == 1 for A in products)
+    scale = gcd(*(A.numerator for A in products)) if integral else 1
+    return {
+        "verb": "weights", "nodes": [str(a) for a in ns.values], "m": ns.m, "n": n,
+        "products": [str(A) for A in products],
+        "rows": [{"node": str(a), "signed_denominator": str(A), "magnitude": str(abs(A)),
+                  "sign": (-1) ** i, "numerator": str(a**n)}
+                 for i, (a, A) in enumerate(zip(ns.values, products))],
+        "scale": str(scale),
+        "common_numerators": [str(t.numerator * (den // t.denominator)) for t in terms],
+        "common_denominator": str(den // scale),
+        "sum": str(sum(terms)),
+    }
 
 
 class TestAlternatingDisplay:
+    """The paper's display of a sum, as the JSON of the CLI's `weights`."""
+
     def test_six_node_rendering(self):
-        table = alternating_display(SIX, 0)
-        assert [r.sign for r in table.rows] == [1, -1, 1, -1, 1, -1]
-        assert [r.magnitude for r in table.rows] == [
-            113400, 12600, 3240, 1512, 1260, 2700,
+        res = weights_json(SIX, 0)
+        assert [r["sign"] for r in res["rows"]] == [1, -1, 1, -1, 1, -1]
+        assert [r["magnitude"] for r in res["rows"]] == [
+            "113400", "12600", "3240", "1512", "1260", "2700",
         ]
-        assert [r.signed_denominator for r in table.rows] == diff_products(SIX)
-        assert sum(table.common_numerators) == 0
+        assert [r["signed_denominator"] for r in res["rows"]] == [
+            str(A) for A in diff_products(SIX)
+        ]
+        assert sum(map(int, res["common_numerators"])) == 0
 
     def test_two_nodes(self):
-        table = alternating_display(nodeset_new([0, 1]), 0)
-        assert [r.magnitude for r in table.rows] == [1, 1]
-        assert [r.node for r in table.rows] == [0, 1]
+        res = weights_json(nodeset_new([0, 1]), 0)
+        assert [r["magnitude"] for r in res["rows"]] == ["1", "1"]
+        assert [r["node"] for r in res["rows"]] == ["0", "1"]
 
     def test_numerators_are_powers(self):
-        table = alternating_display(SIX, 5)
-        assert [r.numerator for r in table.rows] == [
-            v**5 for v in SIX.values
+        res = weights_json(SIX, 5)
+        assert [r["numerator"] for r in res["rows"]] == [
+            str(v**5) for v in SIX.values
         ]
 
     @given(node_sets, st.integers(min_value=0, max_value=6))
     def test_display_consistency(self, ns, n):
-        table = alternating_display(ns, n)
+        res = weights_json(ns, n)
         total = sum(
-            r.sign * r.numerator / r.magnitude for r in table.rows
+            r["sign"] * F(r["numerator"]) / F(r["magnitude"]) for r in res["rows"]
         )
-        assert F(sum(table.common_numerators), table.common_denominator) == total
+        den = int(res["common_denominator"]) * int(res["scale"])
+        assert F(sum(map(int, res["common_numerators"])), den) == total
+        assert F(res["sum"]) == total
         assert abs(total) == abs(euler_sums(ns, n)[n])
+
+    @given(node_sets, st.integers(min_value=0, max_value=6))
+    def test_matches_fraction_reference(self, ns, n):
+        assert cli._run_weights(ns, n) == reference_weights(ns, n)
