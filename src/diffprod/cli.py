@@ -27,11 +27,11 @@ from .nodes import (
     _closed_forms,
     _euler_sums,
     _lcm,
-    diff_products_via_derivative,
+    _slopes,
     nodeset_new,
 )
 from .partfrac import _reconstructs, _route_sums, _scaled_decompositions
-from .symmetric import (_elementary, _equal, _h_brute_force, _h_elementary, _matches,
+from .symmetric import (_elementary, _equal, _h_brute_force, _h_elementary, _head, _matches,
                         _p_newton, _power_routes)
 
 if TYPE_CHECKING:
@@ -232,7 +232,8 @@ def _print_table(res: dict) -> None:
 def _run_decompose(ns: NodeSet, n: int) -> dict:
     # h is the part leading coefficient first, h_0..h_(n-m), and empty for
     # n < m; the residues are unreduced integer pairs.
-    h, residues = _scaled_decompositions(ns, [n])
+    depth = max(n - ns.m, 0)
+    h, residues = _scaled_decompositions(ns, [n], _h_brute_force(ns, depth))
     _, nums, dens = residues[0]
     return {
         "verb": "decompose",
@@ -241,7 +242,8 @@ def _run_decompose(ns: NodeSet, n: int) -> dict:
         "decomposition": {
             "polynomial_part": _fmt_scaled(*h)[::-1],
             "residues": list(map(_fmt_ratio, nums, dens)),
-            "reconstructed": _reconstructs(ns, h, residues),
+            "reconstructed": _reconstructs(ns, h, residues, _slopes(ns),
+                                           _h_elementary(ns, depth)),
         },
     }
 
@@ -255,12 +257,14 @@ def _print_decompose(res: dict) -> None:
     print(f"reconstruction check: {'ok' if dec['reconstructed'] else 'FAILED'}")
 
 
-def _homogeneous_checks(ns: NodeSet, kmax: int):
+def _homogeneous_checks(ns: NodeSet, kmax: int, h_e: tuple, h_bf: tuple):
     """The independent routes to h_0..h_kmax and Newton's round trip.
 
-    Returns the scaled lists (L, X, first) of p_1..p_max(kmax,1), of h by
-    the e-recurrence, by the power-sum recurrence and by brute force, and
-    whether Newton's identities give back the direct power sums.
+    h_e and h_bf are the scaled lists of the e-recurrence and of the
+    brute-force oracle to at least kmax.  Returns the scaled lists
+    (L, X, first) of p_1..p_max(kmax,1), of h by the e-recurrence, by the
+    power-sum recurrence and by brute force, and whether Newton's
+    identities give back the direct power sums.
     """
     # Each route picks its own scale: the e-route and Newton read
     # E_1..E_min(kmax, m) off ns.polynomial, while the power sums, the
@@ -270,14 +274,13 @@ def _homogeneous_checks(ns: NodeSet, kmax: int):
     # the decompositions' parts take h from the oracle's kernel, so the
     # e-recurrence checks that kernel, here and in `_reconstructs`.
     p, h_p = _power_routes(ns, kmax)
-    h_e = _h_elementary(ns, kmax)
-    h_bf = _h_brute_force(ns, kmax)
     newton = _p_newton(ns, max(kmax, 1))
-    return p, h_e, h_p, h_bf, _equal(newton, p)
+    return p, _head(h_e, kmax + 1), h_p, _head(h_bf, kmax + 1), _equal(newton, p)
 
 
 def _run_symmetric(ns: NodeSet, kmax: int) -> dict:
-    p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, kmax)
+    p, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(
+        ns, kmax, _h_elementary(ns, kmax), _h_brute_force(ns, kmax))
     # The brute-force h is formatted once; a recurrence that equals it
     # prints the same strings, one that does not prints its own.
     e_ok, p_ok = _equal(h_e, h_bf), _equal(h_p, h_bf)
@@ -322,26 +325,38 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
 
     m = ns.m
     products = list(ns.products)
+    # W'(b_i) = L^(m-1) A_i, computed once: the w' route compares it with
+    # the products, and check (i) of `_reconstructs` reads it.
+    slopes = _slopes(ns)
+    scale = ns.polynomial[0] ** (m - 1)
     check("difference products match derivative route",
-          products == diff_products_via_derivative(ns))
+          all(A.numerator * scale == slope * A.denominator
+              for A, slope in zip(products, slopes)))
     check("sign parity (-1)^(m-1-i)",
           all((-1) ** (m - 1 - i) * A.numerator > 0 for i, A in enumerate(products)))
     # Every route below gives a scaled list (L, X, first) of its values,
-    # compared by `_equal` without building a Fraction.
+    # compared by `_equal` without building a Fraction.  One ladder of each
+    # h route serves every check: the oracle's, a maker, gives the closed
+    # forms (to k = nmax-m+1), the parts (to nmax-m) and the h checks (to
+    # min(nmax, 8)); the e-recurrence's, a check, gives the quotient of
+    # check (ii) (to nmax-m) and the h checks.
+    k = min(nmax, 8)
+    h_bf = _h_brute_force(ns, max(nmax - m + 1, k))
+    h_e = _h_elementary(ns, max(nmax - m, k))
     L, S, D = _euler_sums(ns, max(nmax, m - 2))
     check("sum is 0 for n <= m-2", not any(S[: m - 1]))
     # from n = m-1 on the closed forms are h_0, h_1, ...: the sums' entry
     # m-1 is the first of a list over D L^(m-1)
     check("sum matches closed form for n <= nmax",
           not any(S[: min(nmax + 1, m - 1)])
-          and _equal((L, S[m - 1 : nmax + 1], D * L ** (m - 1)), _closed_forms(ns, nmax)))
+          and _equal((L, S[m - 1 : nmax + 1], D * L ** (m - 1)), _head(h_bf, nmax - m + 2)))
     if m >= 2:
         check("decomposition route reproduces the sum",
               _equal(_route_sums(ns, nmax), (L, S[: nmax + 1], D)))
     check("decompositions reconstruct exactly",
-          _reconstructs(ns, *_scaled_decompositions(ns, range(nmax + 1))))
+          _reconstructs(ns, *_scaled_decompositions(ns, range(nmax + 1), h_bf), slopes, h_e))
 
-    _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, min(nmax, 8))
+    _, h_e, h_p, h_bf, newton_ok = _homogeneous_checks(ns, k, h_e, h_bf)
     check("homogeneous recurrences agree", _equal(h_e, h_p))
     check("homogeneous recurrences match brute force", _equal(h_bf, h_e))
     check("newton round trip", newton_ok)

@@ -99,17 +99,25 @@ def nodeset_new(values: Sequence) -> NodeSet:
 def diff_products(ns: NodeSet) -> list[Fraction]:
     """Signed products A_i = prod_{j != i}(a_i - a_j); [1] for a singleton.
 
-    From the nodes' own a_i = p_i/q_i, never from ns.polynomial: each factor is
-    the cross-difference (p_i q_j - p_j q_i) / (q_i q_j), so A_i is the
-    integer U_i = prod_{j != i}(p_i q_j - p_j q_i) over
-    q_i^(m-1) * (Q // q_i), with Q = prod q_j.
+    From the nodes' own a_i = p_i/q_i, never from ns.polynomial: each is
+    the pair of `_product_pairs` in lowest terms.
     """
-    pq = [(a.numerator, a.denominator) for a in ns.values]
+    return [Fraction(U, V) for U, V in _product_pairs(ns.values)]
+
+
+def _product_pairs(values: Sequence) -> list[tuple[int, int]]:
+    """Each A_i = prod_{j != i}(a_i - a_j) of the ascending distinct
+    rationals `values` as an unreduced integer pair (U_i, V_i), V_i > 0.
+
+    Each factor is the cross-difference (p_i q_j - p_j q_i) / (q_i q_j) of
+    a_i = p_i/q_i, so U_i = prod_{j != i}(p_i q_j - p_j q_i) and
+    V_i = q_i^(m-1) * (Q // q_i), with Q = prod q_j.
+    """
+    pq = [(a.numerator, a.denominator) for a in values]
     Q = prod(q for _, q in pq)
-    k = ns.m - 1
+    k = len(pq) - 1
     return [
-        Fraction(prod(p * qj - pj * q for j, (pj, qj) in enumerate(pq) if j != i),
-                 q**k * (Q // q))
+        (prod(p * qj - pj * q for j, (pj, qj) in enumerate(pq) if j != i), q**k * (Q // q))
         for i, (p, q) in enumerate(pq)
     ]
 
@@ -118,12 +126,18 @@ def diff_products_via_derivative(ns: NodeSet) -> list[Fraction]:
     """Same products obtained as w'(a_i) for w = prod(z - a_j).
 
     On the integer node polynomial W(z) = L^m w(z/L) of ns.polynomial,
-    W'(b_i) = L^(m-1) w'(a_i).
+    W'(b_i) = L^(m-1) w'(a_i) (`_slopes`).
     """
-    L, b, W = ns.polynomial
+    scale = ns.polynomial[0] ** (ns.m - 1)
+    return [Fraction(slope, scale) for slope in _slopes(ns)]
+
+
+def _slopes(ns: NodeSet) -> list[int]:
+    """[W'(b_i)] by Horner on W of ns.polynomial = (L, b, W); each is
+    L^(m-1) w'(a_i) = L^(m-1) A_i for the true W."""
+    _, b, W = ns.polynomial
     w1 = derivative(W)
-    scale = L ** (ns.m - 1)
-    return [Fraction(evaluate(w1, bi), scale) for bi in b]
+    return [evaluate(w1, bi) for bi in b]
 
 
 def _check_exponent(n: int) -> None:

@@ -13,14 +13,19 @@ pairs, for the CLI and `verify`, which only compare them.
 `reconstruct` proves the identity by interpolation on integers, reading
 nothing the decomposition was built from: with b_i = a_i*L, L the lcm of
 the pole denominators, it reads W(z) = prod(z - b_i) off
-`NodeSet.polynomial` and computes W'(b_i) once per call.  The part of the
-largest power N must be the quotient of z^N by the monic W, which is the
-e-recurrence of `symmetric`, and every other part must be its tail.
-Each residue r_j at a_j = t_j/u_j must satisfy
-r_j u_j^n W'(b_j) = t_j^n L^(m-1), with t_j^n and u_j^n stepped by
-`reconstruct` itself, never by the decomposition's `_powers`.  `verify`
-and the CLI's `decompose` hand the integers of `_scaled_decompositions`
-to the same checks (`_reconstructs`), so they build no Fraction for them.
+`NodeSet.polynomial` and W'(b_i) once per call (`nodes._slopes`).  The
+part of the largest power N must be the quotient of z^N by the monic W,
+which is the e-recurrence of `symmetric`, and every other part must be
+its tail.  Each residue r_j / q_j at a_j = t_j/u_j must satisfy
+r_j u_j^n W'(b_j) = q_j t_j^n L^(m-1).  That is cross-multiplied at the
+first power only; at a later power a pair that is the previous power's
+proved pair times (t_j^gap, u_j^gap) is proved by induction, in linear
+time, and any other pair is cross-multiplied.  t_j and u_j come from the
+poles, never from the decomposition's `_powers`.  `verify` and the CLI's
+`decompose` hand the integers of `_scaled_decompositions` to the same
+checks (`_reconstructs`), so they build no Fraction for them; `verify`
+also hands in the W'(b_i) of its w' route and the e-recurrence of its h
+checks, so each is computed once.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import attrgetter, mul
 
-from .exactpoly import derivative, evaluate
-from .nodes import NegativeExponent, NodeSet, _weighted_power_sums
-from .symmetric import _equal, _h_brute_force, _h_elementary, _unscale
+from .exactpoly import evaluate
+from .nodes import NegativeExponent, NodeSet, _product_pairs, _slopes, _weighted_power_sums
+from .symmetric import _equal, _h_brute_force, _h_elementary, _head, _unscale
 
 
 class NodeSetTooSmall(ValueError):
@@ -88,17 +94,16 @@ def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition
     return out
 
 
-def _scaled_decompositions(poles: NodeSet, powers) -> tuple:
-    """(h, residues) for x^n, n in `powers` (ascending), from one h list.
+def _scaled_decompositions(poles: NodeSet, powers, h: tuple) -> tuple:
+    """(part, residues) for x^n, n in `powers` (ascending).
 
-    h is the scaled list of h_0, ..., h_(N-m) for the largest power N,
-    which is the part of x^N leading coefficient first; the part of each n
-    is its first n - m + 1 entries.  residues holds (n, numerators,
+    h is the brute-force oracle's scaled list (L, [H_0, ...], 1) to at
+    least N - m for the largest power N; part is its first N - m + 1
+    entries, the part of x^N leading coefficient first, and the part of
+    each n is the first n - m + 1 of those.  residues holds (n, numerators,
     denominators) for each n: the residue a_i^n / A_i as the numerator and
     denominator of 1/A_i times those of a_i^n, stepped by a_i^gap from one
     power to the next, never reduced."""
-    m = poles.m
-    h = _h_brute_force(poles, powers[-1] - m) if powers[-1] >= m else (1, [], 1)
     tops = [a.numerator for a in poles.values]
     bottoms = [a.denominator for a in poles.values]
     nums = [A.denominator for A in poles.products]
@@ -110,7 +115,7 @@ def _scaled_decompositions(poles: NodeSet, powers) -> tuple:
             nums = list(map(mul, nums, _powers(tops, gap)))
             dens = list(map(mul, dens, _powers(bottoms, gap)))
         residues.append((n, nums, dens))
-    return h, residues
+    return _head(h, powers[-1] - poles.m + 1), residues
 
 
 def _powers(xs, k: int):
@@ -130,8 +135,10 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     the tail of the quotient for any larger N (division by reversal).  So
     (ii) is checked once, by dividing x^N by w for a largest power N, and
     every part must equal that quotient's tail (zero for n < m); (i) is
-    checked for each n, on powers of the poles it steps itself.  Both run on
-    integers (`_reconstructs`).  A False return means some decomposition
+    checked for each n, on the poles' own numerators and denominators,
+    cross-multiplied at the first power and by induction after it where a
+    residue is the previous one stepped.  Both run on integers
+    (`_reconstructs`).  A False return means some decomposition
     is inconsistent or lacks a residue, or that W is not the monic
     degree-m polynomial vanishing at every b_j.
     """
@@ -148,10 +155,11 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
             return False
     residues = [(p.power, [r.numerator for r in p.residues],
                  [r.denominator for r in p.residues]) for p in pfds]
-    return _reconstructs(poles, (1, quotient[::-1], 1), residues)
+    return _reconstructs(poles, (1, quotient[::-1], 1), residues, _slopes(poles),
+                         _h_elementary(poles, max(N - poles.m, 0)))
 
 
-def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
+def _reconstructs(poles: NodeSet, part: tuple, residues, slopes, quotient: tuple) -> bool:
     """Checks (i) and (ii) of `reconstruct` on integers.
 
     `part` is the scaled list (Q, X, f) of the largest power's part,
@@ -163,36 +171,40 @@ def _reconstructs(poles: NodeSet, part: tuple, residues) -> bool:
     at every b_j:
     - (ii) the quotient of z^N by W is sum_k H_k z^(N-m-k), H the
       e-recurrence `_h_elementary` to N - m, so the quotient of x^N by w
-      is its scaled list (L, [H_0, ..., H_(N-m)], 1), compared with `part`;
+      is its scaled list (L, [H_0, ..., H_(N-m)], 1), compared with `part`.
+      `quotient` is that e-recurrence's scaled list to at least N - m;
     - (i) is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1) for the residue
-      r_j / q_j at a_j = t_j / u_j, with W'(b_j) = L^(m-1) w'(a_j)
-      computed once per call, and t_j^n and u_j^n stepped here, never
-      by the decomposition's `_powers`.  A q_j of 0 fails it: the pair
-      (0, 0) would make both sides 0.
+      r_j / q_j at a_j = t_j / u_j, with `slopes` the W'(b_j) =
+      L^(m-1) w'(a_j) of `nodes._slopes`.  It is cross-multiplied at the
+      first power.  At each later power a pair with r_j = r'_j t_j^gap and
+      q_j = q'_j u_j^gap, (r'_j, q'_j) the pair proved at the previous
+      power, is proved by that: r_j / q_j = (r'_j / q'_j) a_j^gap, as
+      q'_j != 0 and u_j != 0.  Any other pair is cross-multiplied.  t_j and
+      u_j come from the poles, never from the decomposition's `_powers`.
+      A q_j of 0 fails it: the pair (0, 0) would make both sides 0.
     """
     m = poles.m
     L, b, W = poles.polynomial
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
         return False
     N = residues[-1][0]
-    if not _equal(part, _h_elementary(poles, N - m) if N >= m else (L, [], 1)):
+    if not _equal(part, _head(quotient, N - m + 1)):
         return False
     # (i) at every pole, for each n
-    dW = derivative(W)
-    slopes = [evaluate(dW, bj) for bj in b]
     scale = L ** (m - 1)
     ts = [a.numerator for a in poles.values]
     us = [a.denominator for a in poles.values]
-    tn, un, last = [1] * m, [1] * m, 0  # t_j^last and u_j^last
+    proved, last = None, 0  # the pairs proved at the power `last`
     for n, nums, dens in residues:
         if len(nums) != m:
             return False
         gap, last = n - last, n
-        tn = [x * t**gap for x, t in zip(tn, ts)]
-        un = [x * u**gap for x, u in zip(un, us)]
-        for r, q, t, u, slope in zip(nums, dens, tn, un, slopes):
-            if not q or r * u * slope != q * t * scale:
+        for j, (r, q, t, u) in enumerate(zip(nums, dens, ts, us)):
+            if proved and r == proved[0][j] * t**gap and q == proved[1][j] * u**gap:
+                continue
+            if not q or r * u**n * slopes[j] != q * t**n * scale:
                 return False
+        proved = nums, dens
     return True
 
 
@@ -205,10 +217,11 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
     a_i^n / A_i for the full set, and the remaining term is the last
     node's own fraction x^n / prod(x - a_i).  So S_n is a power sum of the
     nodes with weights 1/(A'_i (a_i - x)) and 1/prod(x - a_i), A'_i the
-    products of the (m-1)-node set, which is built once for all n.  Each
-    weight is formed as an integer numerator and denominator from those of
-    A'_i, a_i and x.  The powers are stepped by the same integer kernel as
-    `euler_sums`, whose closed-form check fails if that kernel is wrong.
+    products of the first m-1 nodes, taken once for all n as the integer
+    pairs of `nodes._product_pairs`.  Each weight is formed as an integer
+    numerator and denominator from those of A'_i, a_i and x.  The powers
+    are stepped by the same integer kernel as `euler_sums`, whose
+    closed-form check fails if that kernel is wrong.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
@@ -220,14 +233,16 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
 def _route_sums(ns: NodeSet, nmax: int) -> tuple:
     """The scaled list of euler_sums_via_decomposition's values, m >= 2."""
     x = ns.values[-1]
-    rest = NodeSet(ns.values[:-1])  # still ascending and distinct
+    rest = ns.values[:-1]  # still ascending and distinct
     # With x = s/t and a_i = s_i/t_i, a_i - x = d_i / (t_i t) for the
-    # integer d_i = s_i t - s t_i.
+    # integer d_i = s_i t - s t_i, and A'_i = U_i / V_i in lowest terms, so
+    # the weights' common denominator is that of the reduced products.
     s, t = x.numerator, x.denominator
     weights, top, bottom = [], 1, 1
-    for A, a in zip(rest.products, rest.values):
+    for (U, V), a in zip(_product_pairs(rest), rest):
+        g = gcd(U, V)
         d = a.numerator * t - s * a.denominator
-        weights.append((A.denominator * a.denominator * t, A.numerator * d))
+        weights.append((V // g * a.denominator * t, U // g * d))
         top *= a.denominator * t
         bottom *= -d
     return _weighted_power_sums([*weights, (top, bottom)], ns.values, nmax)

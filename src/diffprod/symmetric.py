@@ -88,6 +88,13 @@ def _unscale(L: int, scaled: Sequence, first: int) -> list[Fraction]:
     return list(map(Fraction, scaled, Lpow))
 
 
+def _head(scaled: tuple, count: int) -> tuple:
+    """The scaled list (L, X, first) cut to its first `count` values, none
+    for count <= 0: a shorter ladder's list read off a deeper one."""
+    L, X, first = scaled
+    return L, X[:max(count, 0)], first
+
+
 def _equal(a: tuple, b: tuple) -> bool:
     """Whether two scaled lists (L, X, first) hold the same values, each
     X[k] / (first * L^k), without building a Fraction.

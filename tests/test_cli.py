@@ -287,10 +287,9 @@ class TestVerbs:
 
         monkeypatch.setattr(nodes, "diff_products", counting)
         assert cli.run([verb, "1/2 -3 7/3 4", "--nmax", "9"]) == 0
-        # verify also decomposes over one fresh set of the first m-1 nodes.
-        assert len({id(ns) for ns in seen}) == len(seen)
-        assert sum(ns.m == 4 for ns in seen) == 1
-        assert len(seen) == (2 if verb == "verify" else 1)
+        # verify's decomposition route takes the products of the first m-1
+        # nodes as integer pairs, and builds no node set for them.
+        assert [ns.m for ns in seen] == [4]
 
     def test_closed_forms_never_read_the_e_list(self, monkeypatch):
         # The node polynomial, and the e-list in it, feeds checks only: the
@@ -355,11 +354,12 @@ class TestVerbs:
 
     @pytest.mark.parametrize("nmax, deepest", [(9, 8), (20, 17)])
     def test_verify_builds_the_h_ladder_once(self, nmax, deepest, capsys, monkeypatch):
-        # The e-recurrence ladder is a check route only: verify runs it to
-        # min(nmax, 8) for the h checks and to nmax - m for the quotient in
-        # check (ii) of reconstruct.  The closed forms (to k = nmax - m + 1),
-        # the decompositions' parts (to nmax - m) and the oracle check (to
-        # min(nmax, 8)) each run the Horner kernel no deeper than they need.
+        # verify runs each h ladder once, as deep as its deepest reader.
+        # The e-recurrence, a check route only, serves the h checks (to
+        # min(nmax, 8)) and the quotient in check (ii) of reconstruct (to
+        # nmax - m).  The Horner kernel serves the closed forms (to
+        # k = nmax - m + 1), the decompositions' parts (to nmax - m) and the
+        # oracle check (to min(nmax, 8)).
         e_ladders, horner_depths = [], []
         h_elementary, complete_sums = symmetric._h_elementary, symmetric._complete_sums
 
@@ -376,9 +376,8 @@ class TestVerbs:
         monkeypatch.setattr(symmetric, "_complete_sums", counting_horner)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", str(nmax)])
         assert code == 0 and res["all_identities_hold"]
-        assert sorted(e_ladders) == sorted([(4, min(nmax, 8)), (4, nmax - 4)])
-        assert sorted(horner_depths) == sorted([nmax - 3, nmax - 4, min(nmax, 8)])
-        assert max(horner_depths) == deepest
+        assert e_ladders == [(4, max(nmax - 4, min(nmax, 8)))]
+        assert horner_depths == [deepest] == [max(nmax - 3, min(nmax, 8))]
 
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full
@@ -772,8 +771,8 @@ class TestVerifierIndependence:
         # A residue pair (0, 0) makes both sides of check (i) 0.
         true_decompositions = cli._scaled_decompositions
 
-        def zeroed(poles, powers):
-            h, residues = true_decompositions(poles, powers)
+        def zeroed(*args):
+            h, residues = true_decompositions(*args)
             return h, [(n, [0] * len(r), [0] * len(q)) for n, r, q in residues]
 
         monkeypatch.setattr(cli, "_scaled_decompositions", zeroed)
@@ -781,6 +780,36 @@ class TestVerifierIndependence:
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
             "decompositions reconstruct exactly"}
+
+    @pytest.mark.parametrize("side", ["numerators", "denominators"])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_doubled_residues_fail_verify_and_decompose(self, side, start, capsys,
+                                                       monkeypatch):
+        # One side of every residue pair doubled from power `start` on: each
+        # later pair is still the previous one times (t_j, u_j), so from the
+        # first power on only check (i)'s cross-multiplication there sees
+        # it, and after it only the induction's test of that side.
+        true_decompositions = cli._scaled_decompositions
+
+        def doubled(*args):
+            h, residues = true_decompositions(*args)
+            out = []
+            for i, (n, nums, dens) in enumerate(residues):
+                if i >= start and side == "numerators":
+                    nums = [2 * r for r in nums]
+                elif i >= start:
+                    dens = [2 * q for q in dens]
+                out.append((n, nums, dens))
+            return h, out
+
+        monkeypatch.setattr(cli, "_scaled_decompositions", doubled)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {self.RECONSTRUCT}
+        # decompose has one power, the first
+        assert cli.run(["decompose", "1/2 -3 7/3 4", "--n", "6"]) == (1 if start == 0 else 0)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"reconstruction check: {'FAILED' if start == 0 else 'ok'}"
 
     @staticmethod
     def verify_fails(capsys, *checks):
@@ -817,9 +846,12 @@ class TestVerifierIndependence:
         assert {c["name"] for c in res["checks"] if not c["ok"]} == failed
 
     def test_wrong_derivative_at_pole_fails_verify(self, capsys, monkeypatch):
-        # reconstruct's W'(b_j): the node polynomial has degree m = 4, so its
-        # derivative is the first polynomial of 4 coefficients evaluated.
-        true_evaluate = partfrac.evaluate
+        # verify computes each W'(b_j) once, for the w' route and check (i)
+        # of reconstruct: the node polynomial has degree m = 4, so its
+        # derivative is the polynomial of 4 coefficients evaluated.  A wrong
+        # shared slope fails both; the products it is compared with never
+        # read it.
+        true_evaluate = nodes.evaluate
         slopes = []
 
         def wrong(coeffs, x):
@@ -830,12 +862,12 @@ class TestVerifierIndependence:
                     value += 1
             return value
 
-        monkeypatch.setattr(partfrac, "evaluate", wrong)
+        monkeypatch.setattr(nodes, "evaluate", wrong)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert len(slopes) == 4
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
-            "decompositions reconstruct exactly"}
+            self.DERIVATIVE, self.RECONSTRUCT}
 
     def test_wrong_node_polynomial_fails_decompose(self, capsys, monkeypatch):
         argv = ["decompose", "1/2 -3 7/3 4", "--n", "6"]
@@ -889,8 +921,19 @@ class TestVerifierIndependence:
         assert rows[-1].split() == ["4", "25", "26", "NO"]
 
     def test_wrong_ladder_entry_fails_verify(self, capsys, monkeypatch):
-        self.wrong_last_entry(monkeypatch, partfrac, "_h_brute_force")
-        self.verify_fails(capsys, "decompositions reconstruct exactly")
+        # verify slices the parts from its one oracle ladder; with the last
+        # entry of the slice, the constant term of x^nmax's part, off by
+        # one, only check (ii) of reconstruct sees it.
+        true_decompositions = cli._scaled_decompositions
+
+        def wrong(*args):
+            (L, H, first), residues = true_decompositions(*args)
+            return (L, [*H[:-1], H[-1] + 1], first), residues
+
+        monkeypatch.setattr(cli, "_scaled_decompositions", wrong)
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {self.RECONSTRUCT}
 
     def test_wrong_power_sum_kernel_fails_closed_form(self, capsys, monkeypatch):
         # euler_sums and the decomposition route share one integer kernel, so
@@ -924,16 +967,15 @@ class TestVerifierIndependence:
 
     @staticmethod
     def wrong_rest_products(monkeypatch):
-        # the (m-1)-node set is the only node set the route builds
-        true_nodeset = partfrac.NodeSet
+        # partfrac's binding of the integer product pairs serves only the
+        # route, for the first m-1 nodes; the last A'_i becomes A'_i + 1
+        true_pairs = partfrac._product_pairs
 
         def wrong(values):
-            rest = true_nodeset(values)
-            A = rest.products
-            rest.__dict__["products"] = (*A[:-1], A[-1] + 1)
-            return rest
+            *pairs, (U, V) = true_pairs(values)
+            return [*pairs, (U + V, V)]
 
-        monkeypatch.setattr(partfrac, "NodeSet", wrong)
+        monkeypatch.setattr(partfrac, "_product_pairs", wrong)
 
     @pytest.mark.parametrize("corrupt", [wrong_last_weight, wrong_rest_products])
     def test_wrong_route_input_fails_decomposition_route(self, corrupt, capsys, monkeypatch):
@@ -1003,14 +1045,14 @@ class TestVerifierIndependence:
             "newton round trip"}
 
     @staticmethod
-    def wrong_top_level_sum(monkeypatch):
+    def wrong_level_sum(monkeypatch, k=-1):
         # The oracle's integer kernel sums the products of each size's
-        # multisets; its top size gets a wrong sum.
+        # multisets; size k, by default the top one, gets a wrong sum.
         true_complete_sums = symmetric._complete_sums
 
         def wrong(xs, kmax):
             sums = true_complete_sums(xs, kmax)
-            sums[-1] += 1
+            sums[k] += 1
             return sums
 
         monkeypatch.setattr(symmetric, "_complete_sums", wrong)
@@ -1019,7 +1061,9 @@ class TestVerifierIndependence:
         # The kernel is also the source of the closed forms and of the
         # decompositions' parts, so their checks fail too: the sums come from
         # the power kernel, and reconstruct uses its own node polynomial.
-        self.wrong_top_level_sum(monkeypatch)
+        # verify runs the kernel once, to k = 8 here; size 5 = nmax - m, the
+        # constant term of x^nmax's part, is the deepest that all three read.
+        self.wrong_level_sum(monkeypatch, 5)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
@@ -1030,12 +1074,14 @@ class TestVerifierIndependence:
     def test_wrong_e_route_fails_the_h_checks_and_reconstruct(self, capsys, monkeypatch):
         # Wherever it is bound, a wrong e-recurrence reaches no closed form
         # and no decomposition: it is compared, never used.  reconstruct
-        # compares the parts with it, as the quotient of z^N by W.
+        # compares the parts with it, as the quotient of z^N by W.  verify
+        # runs it once, to k = 8 here; H_5, the quotient's constant term at
+        # nmax - m = 5, is the deepest entry that every reader reads.
         true_route = symmetric._h_elementary
 
         def wrong(ns, kmax):
             L, H, first = true_route(ns, kmax)
-            return L, [*H[:-1], H[-1] + 1], first
+            return L, [*H[:5], H[5] + 1, *H[6:]], first
 
         for module in (symmetric, nodes, partfrac, cli):
             monkeypatch.setattr(module, "_h_elementary", wrong, raising=False)
@@ -1047,7 +1093,7 @@ class TestVerifierIndependence:
             "homogeneous recurrences match brute force"}
 
     def test_wrong_level_sum_fails_symmetric(self, capsys, monkeypatch):
-        self.wrong_top_level_sum(monkeypatch)
+        self.wrong_level_sum(monkeypatch)
         assert cli.run(["symmetric", "1 2 3", "--kmax", "3"]) == 1
         out = capsys.readouterr().out
         assert "h paths agree: NO\n" in out

@@ -122,6 +122,32 @@ class TestReconstruct:
     def test_all_at_once(self, ns, nmax):
         assert reconstruct(*decompositions(ns, nmax))
 
+    @settings(deadline=None)
+    @given(node_sets, st.integers(min_value=1, max_value=13), rationals.filter(bool),
+           st.data())
+    def test_reduced_residues_are_checked_at_every_power(self, ns, nmax, delta, data):
+        # decompositions' residues are reduced Fractions, whose gcds can
+        # change with n: such a pair is not the previous power's times
+        # (t_j, u_j), and check (i) cross-multiplies it.  One residue
+        # changed at any power above the first is caught.
+        pfds = decompositions(ns, nmax)
+        assert reconstruct(*pfds) is True
+        n = data.draw(st.integers(1, nmax))
+        residues = list(pfds[n].residues)
+        residues[data.draw(st.integers(0, ns.m - 1))] += delta
+        wrong = PartialFractionDecomposition(n, ns, pfds[n].polynomial_part, residues)
+        assert reconstruct(*pfds[:n], wrong, *pfds[n + 1:]) is False
+
+    def test_residue_check_never_reads_the_residue_powers(self, monkeypatch):
+        # check (i) steps the residues by the poles' own t_j and u_j
+        pfds = decompositions(SIX, 12)
+
+        def unread(*args):
+            raise AssertionError("reconstruct read the decomposition's _powers")
+
+        monkeypatch.setattr(partfrac, "_powers", unread)
+        assert reconstruct(*pfds) is True
+
     def test_one_wrong_decomposition_among_many_is_false(self):
         pfds = decompositions(SIX, 9)
         for i, pfd in enumerate(pfds):
