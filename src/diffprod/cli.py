@@ -30,7 +30,7 @@ from .nodes import (
     _slopes,
     nodeset_new,
 )
-from .partfrac import _reconstructs, _route_sums, _scaled_decompositions
+from .partfrac import _reconstructs, _route_products, _scaled_decompositions
 from .symmetric import (_elementary, _equal, _h_brute_force, _h_elementary, _head, _matches,
                         _p_newton, _power_routes)
 
@@ -67,8 +67,8 @@ def parse_nodes(text: str) -> NodeSet:
     """Parse comma/whitespace separated integers and fractions "p/q".
 
     A leading "@" makes the rest a file name holding the same grammar, in
-    UTF-8.  At most MAX_FILE_BYTES + 1 bytes of it are read, so a larger
-    file (or an endless one) is refused without being read whole.
+    UTF-8 with or without a byte-order mark.  At most MAX_FILE_BYTES + 1
+    bytes are read, so a larger (or endless) file is refused unread.
     """
     if text.startswith("@"):
         try:
@@ -78,7 +78,7 @@ def parse_nodes(text: str) -> NodeSet:
             raise ParseError(0, text) from None
         if len(data) > MAX_FILE_BYTES:
             raise LimitExceeded("@file size in bytes", MAX_FILE_BYTES)
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     tokens = [t for t in re.split(r"[\s,]+", text) if t]
     if len(tokens) > MAX_NODES:
         raise LimitExceeded(f"node count {len(tokens)}", MAX_NODES)
@@ -323,20 +323,24 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     def check(name: str, ok: bool) -> None:
         checks.append({"name": name, "ok": bool(ok)})
 
-    m = ns.m
-    products = list(ns.products)
+    m, products = ns.m, ns.products
+
+    def reproduces_products(pairs) -> bool:
+        # U_i / V_i = A_i for every i, on the integer pairs of a route
+        return len(pairs) == m and all(
+            V and A.numerator * V == U * A.denominator for A, (U, V) in zip(products, pairs))
+
     # W'(b_i) = L^(m-1) A_i, computed once: the w' route compares it with
     # the products, and check (i) of `_reconstructs` reads it.
     slopes = _slopes(ns)
     scale = ns.polynomial[0] ** (m - 1)
     check("difference products match derivative route",
-          all(A.numerator * scale == slope * A.denominator
-              for A, slope in zip(products, slopes)))
+          reproduces_products([(slope, scale) for slope in slopes]))
     check("sign parity (-1)^(m-1-i)",
           all((-1) ** (m - 1 - i) * A.numerator > 0 for i, A in enumerate(products)))
-    # Every route below gives a scaled list (L, X, first) of its values,
-    # compared by `_equal` without building a Fraction.  One ladder of each
-    # h route serves every check: the oracle's, a maker, gives the closed
+    # The sums and h routes below give scaled lists (L, X, first), compared
+    # by `_equal` without building a Fraction.  One ladder of each h route
+    # serves every check: the oracle's, a maker, gives the closed
     # forms (to k = nmax-m+1), the parts (to nmax-m) and the h checks (to
     # min(nmax, 8)); the e-recurrence's, a check, gives the quotient of
     # check (ii) (to nmax-m) and the h checks.
@@ -350,9 +354,10 @@ def _run_verify(ns: NodeSet, nmax: int) -> dict:
     check("sum matches closed form for n <= nmax",
           not any(S[: min(nmax + 1, m - 1)])
           and _equal((L, S[m - 1 : nmax + 1], D * L ** (m - 1)), _head(h_bf, nmax - m + 2)))
+    # The decomposition route's weights are the reciprocals of its products,
+    # so it is compared at those: equal products give equal sums at every n.
     if m >= 2:
-        check("decomposition route reproduces the sum",
-              _equal(_route_sums(ns, nmax), (L, S[: nmax + 1], D)))
+        check("decomposition route reproduces the sum", reproduces_products(_route_products(ns)))
     check("decompositions reconstruct exactly",
           _reconstructs(ns, *_scaled_decompositions(ns, range(nmax + 1), h_bf), slopes, h_e))
 

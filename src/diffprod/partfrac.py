@@ -215,34 +215,34 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
     Decompose x^n over the first m-1 poles, then evaluate at x = the
     largest node: each residue a_i^n / A'_i over (a_i - x) is exactly
     a_i^n / A_i for the full set, and the remaining term is the last
-    node's own fraction x^n / prod(x - a_i).  So S_n is a power sum of the
-    nodes with weights 1/(A'_i (a_i - x)) and 1/prod(x - a_i), A'_i the
-    products of the first m-1 nodes, taken once for all n as the integer
-    pairs of `nodes._product_pairs`.  Each weight is formed as an integer
-    numerator and denominator from those of A'_i, a_i and x.  The powers
-    are stepped by the same integer kernel as `euler_sums`, whose
-    closed-form check fails if that kernel is wrong.
+    node's own fraction x^n / prod(x - a_i).  So S_n is the power sum of
+    the nodes weighted by the reciprocals of the route's products
+    (`_route_products`), stepped by the same integer kernel as `euler_sums`.
     """
     if nmax < 0:
         raise NegativeExponent(nmax)
     if ns.m < 2:
         raise NodeSetTooSmall("need at least two nodes")
-    return _unscale(*_route_sums(ns, nmax))
+    weights = [(V, U) for U, V in _route_products(ns)]
+    return _unscale(*_weighted_power_sums(weights, ns.values, nmax))
 
 
-def _route_sums(ns: NodeSet, nmax: int) -> tuple:
-    """The scaled list of euler_sums_via_decomposition's values, m >= 2."""
-    x = ns.values[-1]
-    rest = ns.values[:-1]  # still ascending and distinct
-    # With x = s/t and a_i = s_i/t_i, a_i - x = d_i / (t_i t) for the
-    # integer d_i = s_i t - s t_i, and A'_i = U_i / V_i in lowest terms, so
-    # the weights' common denominator is that of the reduced products.
+def _route_products(ns: NodeSet) -> list[tuple[int, int]]:
+    """The route's m products as integer pairs (U_i, V_i), m >= 2:
+    A'_i (a_i - x) for the first m-1 nodes, A'_i their products taken once
+    as the pairs of `nodes._product_pairs`, and prod(x - a_i) for the
+    largest node x.  Each U_i / V_i is A_i, formed from the integers of
+    A'_i, a_i and x alone, so `verify` compares the pairs with ns.products:
+    equal products give equal sums at every n."""
+    *rest, x = ns.values  # rest still ascending and distinct
+    # With x = s/t and a_i = s_i/t_i, a_i - x = d_i / (t_i t), d_i = s_i t - s t_i;
+    # A'_i = U_i / V_i is reduced first, which keeps the weights' lcm small.
     s, t = x.numerator, x.denominator
-    weights, top, bottom = [], 1, 1
+    pairs, top, bottom = [], 1, 1
     for (U, V), a in zip(_product_pairs(rest), rest):
         g = gcd(U, V)
         d = a.numerator * t - s * a.denominator
-        weights.append((V // g * a.denominator * t, U // g * d))
-        top *= a.denominator * t
-        bottom *= -d
-    return _weighted_power_sums([*weights, (top, bottom)], ns.values, nmax)
+        pairs.append((U // g * d, V // g * a.denominator * t))
+        top *= -d
+        bottom *= a.denominator * t
+    return [*pairs, (top, bottom)]

@@ -224,6 +224,23 @@ class TestVerbs:
         assert cli.run(["table", "1 1/0 2"]) == 2
         assert "'1/0' at position 1" in capsys.readouterr().err
 
+    def test_file_with_byte_order_mark(self, tmp_path, capsys):
+        # A leading UTF-8 byte-order mark is not part of the node list; one
+        # inside the text is a bad token like any other.
+        plain, marked, inner, latin = (tmp_path / name for name in ("a", "b", "c", "d"))
+        plain.write_bytes(b"1 2 3")
+        marked.write_bytes(b"\xef\xbb\xbf1 2 3")
+        inner.write_bytes(b"1 \xef\xbb\xbf2 3")
+        latin.write_bytes(b"\xef\xbb\xbf1 2 \xe9")
+        assert cli.run(["weights", f"@{plain}"]) == 0
+        expected = capsys.readouterr()
+        assert cli.run(["weights", f"@{marked}"]) == 0
+        assert capsys.readouterr() == expected
+        assert cli.run(["weights", f"@{inner}"]) == 2
+        assert capsys.readouterr().err == "error: bad token '\\ufeff2' at position 1\n"
+        assert cli.run(["weights", f"@{latin}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         f = tmp_path / "nodes.txt"
         f.write_bytes(b"\xff\xfe1 2")
@@ -310,8 +327,8 @@ class TestVerbs:
         ("verify", 1), ("symmetric", 1), ("decompose", 1), ("table", 0), ("weights", 0)])
     def test_node_polynomial_built_once_per_set(self, verb, builds, monkeypatch):
         # Every check that reads W reads the one NodeSet.polynomial; the
-        # makers never read it.  verify's decomposition route builds a set
-        # of its own, whose polynomial nothing reads.
+        # makers never read it, and verify's decomposition route builds no
+        # node set.
         values, built = "1/2 -3 7/3 4", []
         true_node_polynomial = nodes.node_polynomial
 
@@ -936,9 +953,10 @@ class TestVerifierIndependence:
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {self.RECONSTRUCT}
 
     def test_wrong_power_sum_kernel_fails_closed_form(self, capsys, monkeypatch):
-        # euler_sums and the decomposition route share one integer kernel, so
-        # a wrong kernel makes them agree; the closed forms come from the
-        # h-ladder, which never reads it.
+        # verify runs the weighted kernel once, for euler_sums; the
+        # decomposition route is compared at its products and never reads
+        # it, and the closed forms come from the h-ladder, which never
+        # reads it either.  partfrac's binding serves only the public route.
         true_kernel = nodes._weighted_power_sums
 
         def wrong(weights, values, nmax):
@@ -954,16 +972,19 @@ class TestVerifierIndependence:
             "sum matches closed form for n <= nmax"}
 
     @staticmethod
+    def corrupt_route(monkeypatch, corrupt):
+        """Make the route's product pairs, at partfrac's binding and the
+        one verify reads, corrupt(pairs)."""
+        true_route = partfrac._route_products
+        for module in (partfrac, cli):
+            monkeypatch.setattr(module, "_route_products", lambda ns: corrupt(true_route(ns)))
+
+    @staticmethod
     def wrong_last_weight(monkeypatch):
-        # the route's last weight is the last node's 1/prod(x - a_i), and
-        # partfrac's binding of the kernel serves only the route
-        true_kernel = partfrac._weighted_power_sums
-
-        def wrong(weights, values, nmax):
-            top, bottom = weights[-1]
-            return true_kernel([*weights[:-1], (2 * top, bottom)], values, nmax)
-
-        monkeypatch.setattr(partfrac, "_weighted_power_sums", wrong)
+        # the route's last pair is the last node's prod(x - a_i), the
+        # reciprocal of its weight; here the product is halved
+        TestVerifierIndependence.corrupt_route(
+            monkeypatch, lambda pairs: [*pairs[:-1], (pairs[-1][0], 2 * pairs[-1][1])])
 
     @staticmethod
     def wrong_rest_products(monkeypatch):
@@ -984,6 +1005,52 @@ class TestVerifierIndependence:
         assert code == 1
         assert {c["name"] for c in res["checks"] if not c["ok"]} == {
             "decomposition route reproduces the sum"}
+
+    @pytest.mark.parametrize("nmax", ["1", "2", "9"])
+    def test_every_route_product_doubled_fails_at_every_nmax(self, nmax, capsys, monkeypatch):
+        # Every weight halved leaves the sums 0 for n <= m - 2 = 2, so a
+        # route compared at the sums would pass at nmax 1 and 2; compared
+        # at the products it fails at every nmax.
+        self.corrupt_route(monkeypatch, lambda pairs: [(2 * U, V) for U, V in pairs])
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", nmax])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "decomposition route reproduces the sum"}
+
+    @pytest.mark.parametrize("zero_numerator", [False, True])
+    def test_zero_route_denominator_fails_without_traceback(self, zero_numerator, capsys,
+                                                            monkeypatch):
+        # A pair (U, 0) is no product: it fails the route check, and is never
+        # divided by.  (0, 0) would make both sides of the cross-product 0.
+        self.corrupt_route(monkeypatch, lambda pairs: [
+            (0 if zero_numerator else pairs[0][0], 0), *pairs[1:]])
+        code = cli.run(["verify", "1/2 -3 7/3 4", "--nmax", "9", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert {c["name"] for c in json.loads(out)["checks"] if not c["ok"]} == {
+            "decomposition route reproduces the sum"}
+
+    def test_verify_runs_the_weighted_kernel_once(self, capsys, monkeypatch):
+        # The weighted kernel steps euler_sums only; the power ladder serves
+        # it and the power sums, which the power-sum route shares.
+        calls = []
+
+        def counting(module, name):
+            true_kernel = getattr(module, name)
+
+            def counted(*args):
+                calls.append(name)
+                return true_kernel(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (nodes, partfrac):
+            counting(module, "_weighted_power_sums")
+        for module in (symmetric, nodes):
+            counting(module, "_power_ladder")
+        code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
+        assert code == 0 and res["all_identities_hold"]
+        assert sorted(calls) == ["_power_ladder"] * 2 + ["_weighted_power_sums"]
 
     @staticmethod
     def corrupt_scaled(monkeypatch, name, corrupt):
@@ -1031,10 +1098,11 @@ class TestVerifierIndependence:
         assert "h paths agree: NO\n" in out
 
     def test_wrong_power_kernel_at_every_binding_fails_verify(self, capsys, monkeypatch):
-        # One kernel steps the powers of euler_sums (and so of the
-        # decomposition route), of the power sums and of the power-sum route.
-        # Each is compared with a route that never reads it: the h-ladder,
-        # the e-recurrence and Newton's identities.
+        # One kernel steps the powers of euler_sums, of the power sums and of
+        # the power-sum route; the decomposition route is compared at its
+        # products and never reads it.  Each is compared with a route that
+        # never reads it: the h-ladder, the e-recurrence and Newton's
+        # identities.
         self.corrupt_scaled(monkeypatch, "_power_ladder", lambda P: [*P[:-1], P[-1] + 1])
         monkeypatch.setattr(nodes, "_power_ladder", symmetric._power_ladder)
         code, res = run_json(capsys, ["verify", "1/2 -3 7/3 4", "--nmax", "9"])
