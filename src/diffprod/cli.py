@@ -71,8 +71,10 @@ def parse_nodes(text: str) -> NodeSet:
     bytes are read, so a larger (or endless) file is refused unread.
     """
     if text.startswith("@"):
-        try:
-            with open(text[1:], "rb") as fh:
+        try:  # a FIFO with no writer reads as empty; a pipe with one, to its end
+            with open(text[1:], "rb",
+                      opener=lambda path, flags: os.open(path, flags | os.O_NONBLOCK)) as fh:
+                os.set_blocking(fh.fileno(), True)
                 data = fh.read(MAX_FILE_BYTES + 1)
         except ValueError:  # a NUL byte in the file name
             raise ParseError(0, text) from None
@@ -117,7 +119,7 @@ def _fmt_scaled(L: int, X, first: int) -> list[str]:
     return list(map(_fmt_ratio, X, accumulate(repeat(L, len(X)), mul, initial=first)))
 
 
-def fmt_poly(coeffs, var: str = "x") -> str:
+def fmt_poly(coeffs) -> str:
     """Descending-power rendering of ascending `fmt` strings, e.g.
     ["2", "-3", "1"] -> "x^2 - 3*x + 2"."""
     if not coeffs:
@@ -132,7 +134,7 @@ def fmt_poly(coeffs, var: str = "x") -> str:
             body = mag
         else:
             head = "" if mag == "1" else mag + "*"
-            body = f"{head}{var}" if d == 1 else f"{head}{var}^{d}"
+            body = f"{head}x" if d == 1 else f"{head}x^{d}"
         parts.append((sign, body))
     sign, body = parts[0]
     out = body if sign == "+" else f"-{body}"
@@ -234,6 +236,7 @@ def _run_decompose(ns: NodeSet, n: int) -> dict:
     # n < m; the residues are unreduced integer pairs.
     depth = max(n - ns.m, 0)
     h, residues = _scaled_decompositions(ns, [n], _h_brute_force(ns, depth))
+    residues = list(residues)
     _, nums, dens = residues[0]
     return {
         "verb": "decompose",

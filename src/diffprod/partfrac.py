@@ -4,11 +4,11 @@ Residues come straight from the difference products; the polynomial part
 of an improper fraction is built from the complete homogeneous values of
 the brute-force oracle rather than by long division, so its coefficients
 are h_0 (leading) down to h_{n-m} (constant).  Both come for every n up to
-nmax from one h list.  `decompositions` and `decompose` step each residue
-from 1/A_i by a_i^gap as a Fraction product, so each reducing gcd is taken
-against a power of a_i's own numerator or denominator.
-`_scaled_decompositions` steps the same residues as unreduced integer
-pairs, for the CLI and `verify`, which only compare them.
+nmax from one h list.  One generator (`_stepped`) steps each residue from
+1/A_i by a_i^gap: as a Fraction product for `decompositions` and
+`decompose`, so each reducing gcd is taken against a power of a_i's own
+numerator or denominator, and as an unreduced integer pair, one power at a
+time, for `_scaled_decompositions`, which the CLI and `verify` only compare.
 
 `reconstruct` proves the identity by interpolation on integers, reading
 nothing the decomposition was built from: with b_i = a_i*L, L the lcm of
@@ -19,13 +19,12 @@ which is the e-recurrence of `symmetric`, and every other part must be
 its tail.  Each residue r_j / q_j at a_j = t_j/u_j must satisfy
 r_j u_j^n W'(b_j) = q_j t_j^n L^(m-1).  That is cross-multiplied at the
 first power only; at a later power a pair that is the previous power's
-proved pair times (t_j^gap, u_j^gap) is proved by induction, in linear
-time, and any other pair is cross-multiplied.  t_j and u_j come from the
-poles, never from the decomposition's `_powers`.  `verify` and the CLI's
-`decompose` hand the integers of `_scaled_decompositions` to the same
-checks (`_reconstructs`), so they build no Fraction for them; `verify`
-also hands in the W'(b_i) of its w' route and the e-recurrence of its h
-checks, so each is computed once.
+proved pair times (t_j^gap, u_j^gap), as it stands or in lowest terms, is
+proved by induction, in linear time.  t_j and u_j come from the poles,
+never from `_powers`.  `verify` and the CLI's `decompose` hand the
+integers of `_scaled_decompositions` to the same checks (`_reconstructs`),
+which read one power at a time; `verify` also hands in the W'(b_i) of its
+w' route and the e-recurrence of its h checks, so each is computed once.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from math import gcd
 from operator import attrgetter, mul
 
 from .exactpoly import evaluate
-from .nodes import NegativeExponent, NodeSet, _product_pairs, _slopes, _weighted_power_sums
+from .nodes import NodeSet, _check_exponent, _product_pairs, _slopes, _weighted_power_sums
 from .symmetric import _equal, _h_brute_force, _h_elementary, _head, _unscale
 
 
@@ -60,8 +59,7 @@ def decompositions(poles: NodeSet, nmax: int) -> list[PartialFractionDecompositi
     multiplied by a_i from one n to the next.  The polynomial part is empty
     for n < m and is the reversed slice h_0..h_{n-m} otherwise.
     """
-    if nmax < 0:
-        raise NegativeExponent(nmax)
+    _check_exponent(nmax)
     return _decompositions(poles, range(nmax + 1))
 
 
@@ -71,27 +69,21 @@ def decompose(n: int, poles: NodeSet) -> PartialFractionDecomposition:
     residues[i] = a_i^n / prod_{j != i}(a_i - a_j), with 0**0 = 1.  The
     polynomial part is empty for n < m and has degree n - m otherwise.
     """
-    if n < 0:
-        raise NegativeExponent(n)
+    _check_exponent(n)
     return _decompositions(poles, [n])[0]
 
 
 def _decompositions(poles: NodeSet, powers) -> list[PartialFractionDecomposition]:
     """The decompositions of x^n for n in `powers` (ascending): the parts
     sliced from one h list of the brute-force oracle, and each residue
-    stepped from 1/A_i by a_i^gap as a Fraction product, so that every gcd
-    is taken against a_i's own numerator and denominator."""
+    stepped from 1/A_i by a_i^gap as a Fraction product (`_stepped`), so
+    that every gcd is taken against a_i's own numerator and denominator."""
     m, N = poles.m, powers[-1]
     h = _unscale(*_h_brute_force(poles, N - m)) if N >= m else []
-    residues, last, out = [1 / A for A in poles.products], 0, []
-    for n in powers:
-        gap, last = n - last, n
-        if gap:
-            residues = list(map(mul, residues, _powers(poles.values, gap)))
-        # ascending: constant term h_{n-m}, leading h_0 = 1
-        out.append(PartialFractionDecomposition(n, poles, h[n - m::-1] if n >= m else [],
-                                                residues))
-    return out
+    residues = _stepped([1 / A for A in poles.products], poles.values, powers)
+    # ascending: constant term h_{n-m}, leading h_0 = 1
+    return [PartialFractionDecomposition(n, poles, h[n - m::-1] if n >= m else [], r)
+            for n, r in zip(powers, residues)]
 
 
 def _scaled_decompositions(poles: NodeSet, powers, h: tuple) -> tuple:
@@ -100,27 +92,30 @@ def _scaled_decompositions(poles: NodeSet, powers, h: tuple) -> tuple:
     h is the brute-force oracle's scaled list (L, [H_0, ...], 1) to at
     least N - m for the largest power N; part is its first N - m + 1
     entries, the part of x^N leading coefficient first, and the part of
-    each n is the first n - m + 1 of those.  residues holds (n, numerators,
-    denominators) for each n: the residue a_i^n / A_i as the numerator and
-    denominator of 1/A_i times those of a_i^n, stepped by a_i^gap from one
-    power to the next, never reduced."""
-    tops = [a.numerator for a in poles.values]
-    bottoms = [a.denominator for a in poles.values]
-    nums = [A.denominator for A in poles.products]
-    dens = [A.numerator for A in poles.products]
-    residues, last = [], 0
+    each n is the first n - m + 1 of those.  residues is an iterator of
+    (n, numerators, denominators), one power at a time: the residue
+    a_i^n / A_i as the numerator and denominator of 1/A_i times those of
+    a_i^n, each stepped by `_stepped` and never reduced."""
+    nums = _stepped([A.denominator for A in poles.products],
+                    [a.numerator for a in poles.values], powers)
+    dens = _stepped([A.numerator for A in poles.products],
+                    [a.denominator for a in poles.values], powers)
+    return _head(h, powers[-1] - poles.m + 1), zip(powers, nums, dens)
+
+
+def _stepped(xs: list, factors, powers):
+    """Yield [x_i f_i^n] for each n in `powers` (ascending, 0**0 = 1): each
+    list is the previous one times f_i^gap, gap the step in n (`_powers`)."""
+    last = 0
     for n in powers:
-        gap, last = n - last, n
-        if gap:
-            nums = list(map(mul, nums, _powers(tops, gap)))
-            dens = list(map(mul, dens, _powers(bottoms, gap)))
-        residues.append((n, nums, dens))
-    return _head(h, powers[-1] - poles.m + 1), residues
+        if n != last:
+            xs, last = list(map(mul, xs, _powers(factors, n - last))), n
+        yield xs
 
 
 def _powers(xs, k: int):
-    """The k-th powers of the integers xs; xs itself for k = 1, the step
-    between consecutive powers."""
+    """The k-th powers of xs; xs itself for k = 1, the step between
+    consecutive powers."""
     return xs if k == 1 else map(pow, xs, repeat(k))
 
 
@@ -137,10 +132,10 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
     every part must equal that quotient's tail (zero for n < m); (i) is
     checked for each n, on the poles' own numerators and denominators,
     cross-multiplied at the first power and by induction after it where a
-    residue is the previous one stepped.  Both run on integers
-    (`_reconstructs`).  A False return means some decomposition
-    is inconsistent or lacks a residue, or that W is not the monic
-    degree-m polynomial vanishing at every b_j.
+    residue is the previous one stepped, as it stands or in lowest terms.
+    Both run on integers (`_reconstructs`).  A False return means some
+    decomposition is inconsistent or lacks a residue, or that W is not the
+    monic degree-m polynomial vanishing at every b_j.
     """
     poles = pfd.poles
     if any(p.poles != poles for p in more):
@@ -153,8 +148,8 @@ def reconstruct(pfd: PartialFractionDecomposition, *more: PartialFractionDecompo
         tail, part = quotient[N - p.power:], p.polynomial_part
         if part[:len(tail)] != tail or any(part[len(tail):]):
             return False
-    residues = [(p.power, [r.numerator for r in p.residues],
-                 [r.denominator for r in p.residues]) for p in pfds]
+    residues = ((p.power, [r.numerator for r in p.residues],
+                 [r.denominator for r in p.residues]) for p in pfds)
     return _reconstructs(poles, (1, quotient[::-1], 1), residues, _slopes(poles),
                          _h_elementary(poles, max(N - poles.m, 0)))
 
@@ -164,31 +159,28 @@ def _reconstructs(poles: NodeSet, part: tuple, residues, slopes, quotient: tuple
 
     `part` is the scaled list (Q, X, f) of the largest power's part,
     leading coefficient first: X[k] / (f Q^k) is the coefficient of
-    x^(len(X)-1-k).  `residues` holds (n, numerators, denominators) for
-    each power n, ascending, the largest being N.  Both checks run on the
-    integers of the poles' (L, b, W) = poles.polynomial, with
-    W(z) = L^m w(z/L), once W is the monic degree-m polynomial vanishing
-    at every b_j:
-    - (ii) the quotient of z^N by W is sum_k H_k z^(N-m-k), H the
-      e-recurrence `_h_elementary` to N - m, so the quotient of x^N by w
-      is its scaled list (L, [H_0, ..., H_(N-m)], 1), compared with `part`.
-      `quotient` is that e-recurrence's scaled list to at least N - m;
-    - (i) is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1) for the residue
-      r_j / q_j at a_j = t_j / u_j, with `slopes` the W'(b_j) =
-      L^(m-1) w'(a_j) of `nodes._slopes`.  It is cross-multiplied at the
-      first power.  At each later power a pair with r_j = r'_j t_j^gap and
-      q_j = q'_j u_j^gap, (r'_j, q'_j) the pair proved at the previous
-      power, is proved by that: r_j / q_j = (r'_j / q'_j) a_j^gap, as
-      q'_j != 0 and u_j != 0.  Any other pair is cross-multiplied.  t_j and
-      u_j come from the poles, never from the decomposition's `_powers`.
-      A q_j of 0 fails it: the pair (0, 0) would make both sides 0.
+    x^(len(X)-1-k).  `residues` is any iterable of (n, numerators,
+    denominators), n ascending, read one power at a time; an empty one, or
+    a power without m of each, fails.  Both checks run on the integers of
+    the poles' (L, b, W) = poles.polynomial, with W(z) = L^m w(z/L), once W
+    is the monic degree-m polynomial vanishing at every b_j:
+    - (i), as each power arrives, is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1)
+      for the residue r_j / q_j at a_j = t_j / u_j, `slopes` the W'(b_j) of
+      `nodes._slopes`, cross-multiplied at the first power.  Later a pair is
+      proved by induction from (r', q'), the pair proved at the previous
+      power and the only one kept, if it is (r' T, q' U), T, U = t_j^gap,
+      u_j^gap, or that product as a Fraction reduces it, (r'/g1 * T/g2,
+      q'/g2 * U/g1) with g1 = gcd(r', U), g2 = gcd(T, q'); both are exact,
+      as q' != 0 != u_j.  Any other pair is cross-multiplied.  A q_j of 0
+      fails: the pair (0, 0) would make both sides 0;
+    - (ii), for the last power N: the quotient of x^N by w is the scaled
+      list (L, [H_0, ..., H_(N-m)], 1) of the e-recurrence `_h_elementary`
+      (the quotient of z^N by W is sum_k H_k z^(N-m-k)), compared with
+      `part`; `quotient` is that e-recurrence's list to at least N - m.
     """
     m = poles.m
     L, b, W = poles.polynomial
     if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
-        return False
-    N = residues[-1][0]
-    if not _equal(part, _head(quotient, N - m + 1)):
         return False
     # (i) at every pole, for each n
     scale = L ** (m - 1)
@@ -196,16 +188,22 @@ def _reconstructs(poles: NodeSet, part: tuple, residues, slopes, quotient: tuple
     us = [a.denominator for a in poles.values]
     proved, last = None, 0  # the pairs proved at the power `last`
     for n, nums, dens in residues:
-        if len(nums) != m:
+        if len(nums) != m or len(dens) != m:
             return False
         gap, last = n - last, n
         for j, (r, q, t, u) in enumerate(zip(nums, dens, ts, us)):
-            if proved and r == proved[0][j] * t**gap and q == proved[1][j] * u**gap:
-                continue
+            if proved:
+                r0, q0, T, U = proved[0][j], proved[1][j], t**gap, u**gap
+                if r == r0 * T and q == q0 * U:
+                    continue
+                g1, g2 = gcd(r0, U), gcd(T, q0)  # as a Fraction product reduces it
+                if r == r0 // g1 * (T // g2) and q == q0 // g2 * (U // g1):
+                    continue
             if not q or r * u**n * slopes[j] != q * t**n * scale:
                 return False
         proved = nums, dens
-    return True
+    # (ii) for the largest power
+    return proved is not None and _equal(part, _head(quotient, last - m + 1))
 
 
 def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
@@ -219,8 +217,7 @@ def euler_sums_via_decomposition(ns: NodeSet, nmax: int) -> list[Fraction]:
     the nodes weighted by the reciprocals of the route's products
     (`_route_products`), stepped by the same integer kernel as `euler_sums`.
     """
-    if nmax < 0:
-        raise NegativeExponent(nmax)
+    _check_exponent(nmax)
     if ns.m < 2:
         raise NodeSetTooSmall("need at least two nodes")
     weights = [(V, U) for U, V in _route_products(ns)]

@@ -5,6 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -247,6 +250,45 @@ class TestVerbs:
         assert cli.run(["weights", f"@{f}"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_fifo_with_no_writer_exits_2(self, tmp_path):
+        # Opened without blocking, a FIFO that no process writes reads as
+        # empty instead of waiting for a writer.  Run in a subprocess, so
+        # that a hang fails by the timeout.
+        fifo = tmp_path / "nodes"
+        os.mkfifo(fifo)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "diffprod", "weights", f"@{fifo}"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: node set must contain at least one value\n")
+
+    def test_pipe_with_a_writer_is_read_to_its_end(self, capsys):
+        # As with a shell's process substitution, @<(...): the read blocks
+        # until the writer closes the pipe, across a pause between writes.
+        r, w = os.pipe()
+
+        def write():
+            os.write(w, b"1 2")
+            time.sleep(0.2)
+            os.write(w, b" 3")
+            os.close(w)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert cli.run(["weights", f"@/dev/fd/{r}"]) == 0
+        finally:
+            writer.join()
+            os.close(r)
+        assert capsys.readouterr().out.startswith("nodes (m=3): 1 2 3\n")
+
+    @pytest.mark.parametrize("name", ["missing", "."])
+    def test_missing_file_or_directory_exits_2(self, name, tmp_path, capsys):
+        assert cli.run(["weights", f"@{tmp_path / name}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["weights", "1 2", "--n", "1001"],
         ["table", "1 2", "--nmax", "1001"],
@@ -395,6 +437,20 @@ class TestVerbs:
         assert code == 0 and res["all_identities_hold"]
         assert e_ladders == [(4, max(nmax - 4, min(nmax, 8)))]
         assert horner_depths == [deepest] == [max(nmax - 3, min(nmax, 8))]
+
+    def test_verify_holds_one_power_of_residues_at_a_time(self, capsys):
+        # verify checks the residues as they are stepped and keeps the
+        # pairs of one power; holding every power's pairs, this call peaks
+        # at 6.8 MiB of traced memory.
+        values = " ".join(f"{(37 * k) % 1999 - 999}/{k % 49 + 2}" for k in range(48))
+        tracemalloc.start()
+        try:
+            assert cli.run(["verify", values, "--nmax", "300"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "all identities hold" in capsys.readouterr().out
+        assert peak < 3 << 20
 
     def test_closed_pipe_is_not_a_traceback(self):
         # Over a megabyte of JSON, so the writer is still blocked on the full

@@ -21,6 +21,8 @@ from diffprod import (
     reconstruct,
 )
 from diffprod import partfrac
+from diffprod.nodes import _slopes
+from diffprod.symmetric import _h_brute_force, _h_elementary
 from .strategies import multi_node_sets, node_sets, poly_from_roots, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -128,8 +130,9 @@ class TestReconstruct:
     def test_reduced_residues_are_checked_at_every_power(self, ns, nmax, delta, data):
         # decompositions' residues are reduced Fractions, whose gcds can
         # change with n: such a pair is not the previous power's times
-        # (t_j, u_j), and check (i) cross-multiplies it.  One residue
-        # changed at any power above the first is caught.
+        # (t_j, u_j), and check (i) proves it by that product in lowest
+        # terms.  One residue changed at any power above the first is
+        # neither, and is caught.
         pfds = decompositions(ns, nmax)
         assert reconstruct(*pfds) is True
         n = data.draw(st.integers(1, nmax))
@@ -147,6 +150,23 @@ class TestReconstruct:
 
         monkeypatch.setattr(partfrac, "_powers", unread)
         assert reconstruct(*pfds) is True
+
+    def test_reduced_residues_read_each_slope_at_the_first_power_only(self, monkeypatch):
+        # Every later power of a reduced residue is the previous one times
+        # a_j in lowest terms, so check (i) cross-multiplies, reading
+        # W'(b_j), only at the first power.
+        ns = nodeset_new(["1/2", "-3", "7/3", "4", "-5/6", "9/4"])
+        reads = []
+        true_slopes = partfrac._slopes
+
+        class Counted(list):
+            def __getitem__(self, j):
+                reads.append(j)
+                return list.__getitem__(self, j)
+
+        monkeypatch.setattr(partfrac, "_slopes", lambda poles: Counted(true_slopes(poles)))
+        assert reconstruct(*decompositions(ns, 12)) is True
+        assert reads == list(range(ns.m))
 
     def test_one_wrong_decomposition_among_many_is_false(self):
         pfds = decompositions(SIX, 9)
@@ -296,6 +316,63 @@ class TestReconstruct:
         )
         assert proc.returncode == 0
         assert "reconstruction check: ok" in proc.stdout.splitlines()
+
+
+class TestStreamedResidues:
+    """`_reconstructs` reads the residues of `_scaled_decompositions` one
+    power at a time, from any iterable."""
+
+    @staticmethod
+    def checked(ns, nmax):
+        """The arguments `verify` hands `_reconstructs` for the powers
+        0..nmax, the residues as the iterator that steps them."""
+        depth = max(nmax - ns.m, 0)
+        part, residues = partfrac._scaled_decompositions(
+            ns, range(nmax + 1), _h_brute_force(ns, depth))
+        return part, residues, _slopes(ns), _h_elementary(ns, depth + 1)
+
+    @settings(deadline=None)
+    @given(node_sets, st.integers(min_value=0, max_value=13), st.booleans(), st.data())
+    def test_same_verdict_on_a_generator_and_a_list(self, ns, nmax, change, data):
+        part, residues, slopes, quotient = self.checked(ns, nmax)
+        listed = list(residues)
+        if change:  # one numerator off by one, at any power
+            i, j = data.draw(st.integers(0, nmax)), data.draw(st.integers(0, ns.m - 1))
+            n, nums, dens = listed[i]
+            listed[i] = n, [r + (k == j) for k, r in enumerate(nums)], dens
+        verdict = partfrac._reconstructs(ns, part, listed, slopes, quotient)
+        streamed = (step for step in listed)
+        assert partfrac._reconstructs(ns, part, streamed, slopes, quotient) is verdict
+        assert verdict is not change
+
+    @pytest.mark.parametrize("nmax", [3, 9])
+    def test_empty_residues_are_false(self, nmax):
+        # also beside the empty part of a power below m, which check (ii)
+        # alone would accept
+        part, _, slopes, quotient = self.checked(SIX, nmax)
+        assert partfrac._reconstructs(SIX, part, iter([]), slopes, quotient) is False
+        assert partfrac._reconstructs(SIX, part, [], slopes, quotient) is False
+
+    @pytest.mark.parametrize("side", ["numerators", "denominators"])
+    def test_power_missing_a_numerator_or_denominator_is_false(self, side):
+        # zip would stop at the shorter list and leave the last pole unchecked
+        part, residues, slopes, quotient = self.checked(SIX, 8)
+        if side == "numerators":
+            cut = ((n, nums[:-1], dens) for n, nums, dens in residues)
+        else:
+            cut = ((n, nums, dens[:-1]) for n, nums, dens in residues)
+        assert partfrac._reconstructs(SIX, part, cut, slopes, quotient) is False
+
+    @pytest.mark.parametrize("other", [7, 9])
+    def test_part_of_another_power_is_false(self, other):
+        # Residues streamed to n = 8 with the part of x^7 or of x^9, one
+        # entry shorter or longer: a true quotient, of another power than
+        # the last one streamed.
+        assert partfrac._reconstructs(SIX, *self.checked(SIX, 8)) is True
+        part, residues, slopes, quotient = self.checked(SIX, 8)
+        wrong = self.checked(SIX, other)[0]
+        assert len(wrong[1]) == len(part[1]) + other - 8
+        assert partfrac._reconstructs(SIX, wrong, residues, slopes, quotient) is False
 
 
 class TestEulerSumViaDecomposition:
