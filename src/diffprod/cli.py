@@ -19,6 +19,7 @@ from operator import mul
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .exactpoly import _over_lcm
 from .nodes import (
     DuplicateNode,
     EmptyNodeSet,
@@ -26,7 +27,6 @@ from .nodes import (
     NodeSet,
     _closed_forms,
     _euler_sums,
-    _lcm,
     _slopes,
     nodeset_new,
 )
@@ -168,8 +168,7 @@ def _run_weights(ns: NodeSet, n: int) -> dict:
             "sign": sign,
             "numerator": str(top) if bottom == 1 else f"{top}/{bottom}",
         })
-    den = _lcm([d for _, d in terms])
-    nums = [t * (den // d) for t, d in terms]
+    den, nums = _over_lcm(terms)
     # For n = 0 on integer magnitudes the line is reduced by g, the gcd of the
     # magnitudes: lcm(|A_i|/g) = lcm(|A_i|)/g, and the numerators lcm/|A_i| are
     # the same either way.  This gives the paper's 3150 line for the 6-node set

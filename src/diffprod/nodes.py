@@ -7,7 +7,10 @@ of a_i^n / A_i vanishes for every 0 <= n <= m-2 and equals the complete
 homogeneous value h_{n-m+1} from n = m-1 onward.
 
 A node set's polynomial prod(z - a_i) is multiplied out once, on integers
-(`NodeSet.polynomial`), and every check on the e side reads it.
+(`NodeSet.polynomial`), and every check on the e side reads it.  It
+scales the nodes by its own lcm; the makers here (the sort keys and the
+sums' common denominator) share `exactpoly._over_lcm` with the power
+kernel and the brute-force oracle of `symmetric`.
 
 The paper's display of a sum, alternating signs over unsigned products put
 over one denominator, is the CLI's `weights` (`cli._run_weights`), computed
@@ -19,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
-from .exactpoly import derivative, evaluate, node_polynomial
+from .exactpoly import _over_lcm, derivative, evaluate, node_polynomial
 from .symmetric import _h_brute_force, _power_ladder, _unscale
 
 
@@ -87,8 +90,7 @@ def nodeset_new(values: Sequence) -> NodeSet:
     # Sorted by the integers a_i*L, L the lcm of the denominators: they
     # order the nodes as the Fractions do, compare faster, and are equal
     # exactly when the nodes are.
-    L = _lcm([a.denominator for a in vals])
-    keys = [a.numerator * (L // a.denominator) for a in vals]
+    _, keys = _over_lcm([(a.numerator, a.denominator) for a in vals])
     order = sorted(range(len(vals)), key=keys.__getitem__)
     for i, j in zip(order, order[1:]):
         if keys[i] == keys[j]:
@@ -164,19 +166,11 @@ def _weighted_power_sums(weights: Sequence, values: Sequence, nmax: int) -> tupl
     (0**0 = 1) over m >= 1 weights w_i and rationals a_i, each weight given
     as an integer pair (numerator, nonzero denominator of either sign).
 
-    The weights go over one denominator D as integers N_i; the power kernel
-    of `symmetric` gives L, the values' own lcm, and X[n] =
-    sum N_i (a_i*L)^n, which is the sum over D L^n."""
-    D = _lcm([d for _, d in weights])
-    L, sums = _power_ladder([n * (D // d) for n, d in weights], values, nmax)
-    return L, sums, D
-
-
-def _lcm(xs: list) -> int:
-    """lcm(*xs) as the lcm of its two halves' lcms, down to pairs, so that
-    each lcm joins operands of about the same size."""
-    n = len(xs)
-    return lcm(*xs) if n < 3 else lcm(_lcm(xs[:n // 2]), _lcm(xs[n // 2:]))
+    The weights go over one denominator D as integers N_i (`_over_lcm`);
+    the power kernel of `symmetric` gives L, the values' own lcm, and
+    X[n] = sum N_i (a_i*L)^n, which is the sum over D L^n."""
+    D, terms = _over_lcm(weights)
+    return (*_power_ladder(terms, values, nmax), D)
 
 
 def expected_euler_sums(ns: NodeSet, nmax: int) -> list[Fraction]:

@@ -162,8 +162,10 @@ def _reconstructs(poles: NodeSet, part: tuple, residues, slopes, quotient: tuple
     x^(len(X)-1-k).  `residues` is any iterable of (n, numerators,
     denominators), n ascending, read one power at a time; an empty one, or
     a power without m of each, fails.  Both checks run on the integers of
-    the poles' (L, b, W) = poles.polynomial, with W(z) = L^m w(z/L), once W
-    is the monic degree-m polynomial vanishing at every b_j:
+    the poles' (L, b, W) = poles.polynomial, with W(z) = L^m w(z/L), once
+    b_j u_j == t_j L at every pole a_j = t_j / u_j, read off the poles
+    themselves, and W is the monic degree-m polynomial vanishing at every
+    b_j:
     - (i), as each power arrives, is r_j u_j^n W'(b_j) == q_j t_j^n L^(m-1)
       for the residue r_j / q_j at a_j = t_j / u_j, `slopes` the W'(b_j) of
       `nodes._slopes`, cross-multiplied at the first power.  Later a pair is
@@ -180,12 +182,13 @@ def _reconstructs(poles: NodeSet, part: tuple, residues, slopes, quotient: tuple
     """
     m = poles.m
     L, b, W = poles.polynomial
-    if len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b):
+    ts = [a.numerator for a in poles.values]
+    us = [a.denominator for a in poles.values]
+    if (len(b) != m or any(bj * u != t * L for bj, t, u in zip(b, ts, us))
+            or len(W) != m + 1 or W[m] != 1 or any(evaluate(W, bj) for bj in b)):
         return False
     # (i) at every pole, for each n
     scale = L ** (m - 1)
-    ts = [a.numerator for a in poles.values]
-    us = [a.denominator for a in poles.values]
     proved, last = None, 0  # the pairs proved at the power `last`
     for n, nums, dens in residues:
         if len(nums) != m or len(dens) != m:

@@ -25,6 +25,10 @@ route reads its own scale:
   H_k += x H_(k-1) for k ascending; one call gives H_0..H_kmax in m*kmax
   products.  The closed forms and the partial fractions' parts take h from
   it; the e-recurrence only checks it, here and in `partfrac.reconstruct`.
+The power kernel and the oracle put the nodes over their lcm by
+`exactpoly._over_lcm`, the makers' one lcm-and-rescale kernel, while
+ns.polynomial scales the nodes itself: a wrong kernel makes the makers
+disagree with the e side.
 So a wrong ns.polynomial makes the two h recurrences disagree, and Newton's
 power sums disagree with the direct ones.  That needs the comparison to
 read each list's scale: under a wrong L the e-route's integers are still
@@ -35,9 +39,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
+
+from .exactpoly import _over_lcm
 
 if TYPE_CHECKING:
     from .nodes import NodeSet
@@ -73,8 +79,7 @@ def _power_ladder(terms: Sequence[int], values: Sequence, kmax: int) -> tuple:
     """(L, [sum t_i c_i^k for k = 0..kmax]): L the lcm of the denominators
     of `values` and c_i = a_i*L, each integer term multiplied by c_i from
     one power to the next.  Entry k over L^k is sum t_i a_i^k."""
-    L = lcm(*(a.denominator for a in values))
-    c = [a.numerator * (L // a.denominator) for a in values]
+    L, c = _over_lcm([(a.numerator, a.denominator) for a in values])
     sums = [sum(terms)]
     for _ in range(kmax):
         terms = list(map(mul, terms, c))
@@ -202,8 +207,7 @@ def _complete_sums(xs: Sequence[int], kmax: int) -> list[int]:
 def _h_brute_force(ns: "NodeSet", kmax: int) -> tuple:
     """(L, [H_0, ..., H_kmax], 1), L the lcm of the node denominators and
     H_k the sum of the size-k multiset products of the a_i*L."""
-    L = lcm(*(a.denominator for a in ns.values))
-    scaled = [a.numerator * (L // a.denominator) for a in ns.values]
+    L, scaled = _over_lcm([(a.numerator, a.denominator) for a in ns.values])
     return L, _complete_sums(scaled, kmax), 1
 
 

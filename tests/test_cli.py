@@ -1241,6 +1241,36 @@ class TestVerifierIndependence:
         monkeypatch.setattr(nodes, "_power_ladder", unread)
         assert symmetric.homogeneous_brute_force(nodeset_new(values), 9) == expected
 
+    @pytest.mark.parametrize("values", ["1/2 -3 7/3 5/4", "1/2 -3 7/3 5/4 -8/5 2/7 9 -1/6"])
+    def test_wrong_lcm_kernel_at_every_binding_fails(self, values, capsys, monkeypatch):
+        # Every maker puts its rationals over one denominator by _over_lcm:
+        # the sort keys, the sums' weights, the power ladder, the oracle
+        # and the weights display.  The node polynomial scales the nodes
+        # itself, so the checks that read it, and the sums' zeros, still
+        # fail under a kernel whose first numerator is off by one; the w'
+        # route, the sign parity and the decomposition route read none.
+        true_over_lcm = exactpoly._over_lcm
+
+        def wrong(pairs):
+            D, nums = true_over_lcm(pairs)
+            return D, [nums[0] + 1, *nums[1:]]
+
+        for module in (exactpoly, nodes, symmetric, cli):
+            monkeypatch.setattr(module, "_over_lcm", wrong)
+        code, res = run_json(capsys, ["verify", values])
+        assert code == 1
+        assert {c["name"] for c in res["checks"] if not c["ok"]} == {
+            "sum is 0 for n <= m-2",
+            "sum matches closed form for n <= nmax",
+            "decompositions reconstruct exactly",
+            "homogeneous recurrences agree",
+            "homogeneous recurrences match brute force",
+            "newton round trip"}
+        assert cli.run(["table", values]) == 1
+        assert any(line.split()[-1] == "NO" for line in capsys.readouterr().out.splitlines())
+        assert cli.run(["decompose", values, "--n", "9"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "reconstruction check: FAILED"
+
 
 # --- the CLI contract over arbitrary input -------------------------------
 

@@ -1,12 +1,12 @@
 from fractions import Fraction as F
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diffprod import nodeset_new
-from diffprod.exactpoly import derivative, evaluate, node_polynomial
+from diffprod.exactpoly import _over_lcm, derivative, evaluate, node_polynomial
 from .strategies import EDGE_SETS, node_sets, poly_from_roots
 
 # z^4 - 22 z^3 + 171 z^2 - 542 z + 560, ascending.
@@ -156,3 +156,19 @@ class TestRingOps:
         W = node_polynomial(u + v)[2]
         assert W == _mul(node_polynomial(u)[2], node_polynomial(v)[2])
         assert len(W) == len(u) + len(v) + 1
+
+
+class TestOverLcm:
+    """The makers' one lcm-and-rescale kernel, against Fractions."""
+
+    nonzero = st.integers(-10**30, 10**30).filter(bool)
+
+    @given(st.lists(st.tuples(st.integers(-10**30, 10**30), nonzero), min_size=1, max_size=20))
+    def test_puts_each_pair_over_the_lcm(self, pairs):
+        D, nums = _over_lcm(pairs)
+        assert D == lcm(*(abs(d) for _, d in pairs))
+        assert [F(N, D) for N in nums] == [F(n, d) for n, d in pairs]
+
+    @pytest.mark.parametrize("n, d, N", [(3, 4, 3), (3, -4, -3), (-5, -1, 5), (0, -7, 0)])
+    def test_one_pair(self, n, d, N):
+        assert _over_lcm([(n, d)]) == (abs(d), [N])

@@ -21,8 +21,7 @@ from diffprod import (
     nodeset_new,
 )
 from diffprod import cli
-from diffprod.exactpoly import evaluate
-from diffprod.nodes import _lcm
+from diffprod.exactpoly import _lcm, evaluate
 from .strategies import EDGE_SETS, node_sets, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
@@ -263,6 +262,13 @@ class TestPairwiseLcm:
     @pytest.mark.parametrize("xs", [[-6], [-4, 6], [0, -3, 5]])
     def test_negative_and_short_lists(self, xs):
         assert _lcm(xs) == lcm(*xs)
+
+    @pytest.mark.parametrize("size", [8, 9])  # the last flat list, the first split one
+    @given(data=st.data())
+    def test_matches_flat_lcm_at_the_flat_cut(self, size, data):
+        for bound in (BIG, 2**500):  # small operands, then ~500-bit ones
+            xs = data.draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+            assert _lcm(xs) == lcm(*xs)
 
 
 class TestCommonDenominatorForm:

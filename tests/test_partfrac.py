@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,14 @@ from diffprod import (
     reconstruct,
 )
 from diffprod import partfrac
+from diffprod.exactpoly import node_polynomial
 from diffprod.nodes import _slopes
 from diffprod.symmetric import _h_brute_force, _h_elementary
 from .strategies import multi_node_sets, node_sets, poly_from_roots, rationals
 
 SIX = nodeset_new([3, 8, 12, 15, 17, 18])
 FOUR = nodeset_new([2, 5, 7, 8])
+RATIONAL = nodeset_new([F(1, 2), -3, F(7, 3), F(5, 4)])
 
 
 class TestDecompose:
@@ -323,40 +326,77 @@ class TestStreamedResidues:
     power at a time, from any iterable."""
 
     @staticmethod
-    def checked(ns, nmax):
-        """The arguments `verify` hands `_reconstructs` for the powers
-        0..nmax, the residues as the iterator that steps them."""
-        depth = max(nmax - ns.m, 0)
-        part, residues = partfrac._scaled_decompositions(
-            ns, range(nmax + 1), _h_brute_force(ns, depth))
+    def checked(ns, powers):
+        """The arguments `verify` hands `_reconstructs` for `powers`
+        (ascending), the residues as the iterator that steps them."""
+        depth = max(powers[-1] - ns.m, 0)
+        part, residues = partfrac._scaled_decompositions(ns, powers, _h_brute_force(ns, depth))
         return part, residues, _slopes(ns), _h_elementary(ns, depth + 1)
 
+    @staticmethod
+    def off_by_one(listed, i, j):
+        """The residues with the j-th numerator of the i-th power off by one."""
+        n, nums, dens = listed[i]
+        listed[i] = n, [r + (k == j) for k, r in enumerate(nums)], dens
+
+    # Ascending powers up to 20 with at least one step above 1, so that the
+    # induction steps by t_j^gap and u_j^gap as well as by t_j and u_j.
+    gapped_powers = st.builds(
+        lambda start, steps, gap, at: list(accumulate([*steps[:at], gap, *steps[at:]],
+                                                      initial=start)),
+        st.integers(0, 4), st.lists(st.integers(1, 3), max_size=4), st.integers(2, 4),
+        st.integers(0, 4))
+
     @settings(deadline=None)
-    @given(node_sets, st.integers(min_value=0, max_value=13), st.booleans(), st.data())
-    def test_same_verdict_on_a_generator_and_a_list(self, ns, nmax, change, data):
-        part, residues, slopes, quotient = self.checked(ns, nmax)
+    @given(node_sets, gapped_powers, st.booleans(), st.data())
+    def test_same_verdict_on_a_generator_and_a_list(self, ns, powers, change, data):
+        part, residues, slopes, quotient = self.checked(ns, powers)
         listed = list(residues)
         if change:  # one numerator off by one, at any power
-            i, j = data.draw(st.integers(0, nmax)), data.draw(st.integers(0, ns.m - 1))
-            n, nums, dens = listed[i]
-            listed[i] = n, [r + (k == j) for k, r in enumerate(nums)], dens
+            self.off_by_one(listed, data.draw(st.integers(0, len(powers) - 1)),
+                            data.draw(st.integers(0, ns.m - 1)))
         verdict = partfrac._reconstructs(ns, part, listed, slopes, quotient)
         streamed = (step for step in listed)
         assert partfrac._reconstructs(ns, part, streamed, slopes, quotient) is verdict
         assert verdict is not change
 
+    @pytest.mark.parametrize("ns", [SIX, RATIONAL], ids=["integers", "rationals"])
+    @pytest.mark.parametrize("i", [2, 4])  # the powers 4 and 11, reached by gaps 3 and 6
+    def test_wrong_numerator_at_a_gapped_power_is_false(self, ns, i):
+        powers = [0, 1, 4, 5, 11]
+        for j in range(ns.m):
+            part, residues, slopes, quotient = self.checked(ns, powers)
+            listed = list(residues)
+            assert partfrac._reconstructs(ns, part, list(listed), slopes, quotient) is True
+            self.off_by_one(listed, i, j)
+            assert partfrac._reconstructs(ns, part, listed, slopes, quotient) is False
+
+    @pytest.mark.parametrize("ns", [SIX, RATIONAL], ids=["integers", "rationals"])
+    def test_node_polynomial_on_other_nodes_is_false(self, ns, monkeypatch):
+        # W = prod(z - b_j - 1) is monic of degree m and vanishes at each of
+        # its nodes b_j + 1; the slopes, the part, the residues and the
+        # e-quotient handed in are the true ones.  Only the guard's
+        # b_j u_j == t_j L, read off the poles, tells W's nodes from theirs.
+        L, b, _ = ns.polynomial
+        assert partfrac._reconstructs(ns, *self.checked(ns, range(10))) is True
+        args = self.checked(ns, range(10))
+        shifted = tuple(bj + 1 for bj in b)
+        W = tuple(node_polynomial([F(x) for x in shifted])[2])
+        monkeypatch.setattr(NodeSet, "polynomial", property(lambda _: (L, shifted, W)))
+        assert partfrac._reconstructs(ns, *args) is False
+
     @pytest.mark.parametrize("nmax", [3, 9])
     def test_empty_residues_are_false(self, nmax):
         # also beside the empty part of a power below m, which check (ii)
         # alone would accept
-        part, _, slopes, quotient = self.checked(SIX, nmax)
+        part, _, slopes, quotient = self.checked(SIX, range(nmax + 1))
         assert partfrac._reconstructs(SIX, part, iter([]), slopes, quotient) is False
         assert partfrac._reconstructs(SIX, part, [], slopes, quotient) is False
 
     @pytest.mark.parametrize("side", ["numerators", "denominators"])
     def test_power_missing_a_numerator_or_denominator_is_false(self, side):
         # zip would stop at the shorter list and leave the last pole unchecked
-        part, residues, slopes, quotient = self.checked(SIX, 8)
+        part, residues, slopes, quotient = self.checked(SIX, range(9))
         if side == "numerators":
             cut = ((n, nums[:-1], dens) for n, nums, dens in residues)
         else:
@@ -368,9 +408,9 @@ class TestStreamedResidues:
         # Residues streamed to n = 8 with the part of x^7 or of x^9, one
         # entry shorter or longer: a true quotient, of another power than
         # the last one streamed.
-        assert partfrac._reconstructs(SIX, *self.checked(SIX, 8)) is True
-        part, residues, slopes, quotient = self.checked(SIX, 8)
-        wrong = self.checked(SIX, other)[0]
+        assert partfrac._reconstructs(SIX, *self.checked(SIX, range(9))) is True
+        part, residues, slopes, quotient = self.checked(SIX, range(9))
+        wrong = self.checked(SIX, range(other + 1))[0]
         assert len(wrong[1]) == len(part[1]) + other - 8
         assert partfrac._reconstructs(SIX, wrong, residues, slopes, quotient) is False
 
